@@ -6,24 +6,34 @@ translates the whole gain pattern, so all zones inherit the same local
 worst case.  Evaluation sweeps angle x frequency grids; for codebooks made
 of plain response vectors the sweep collapses to Dirichlet-kernel lookups
 over a few candidate beams per angle, with an envelope bound certifying
-that the skipped beams cannot change the outcome.
+that the skipped beams cannot change the outcome.  Any other codebook goes
+through the general sweep, which prunes exactly without any structure:
+a beam's gain at one frequency bounds its band minimum from above, so a
+beam whose minimum over three probe frequencies falls below a band
+minimum that another beam attains can neither win nor tie, and is never
+swept over the full band.
 """
 
 from __future__ import annotations
 
 import hashlib
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import alm
-from .array_model import (BeamVector, SystemConfig, composite_gain,
-                          dirichlet_power, steering_composite)
+from .array_model import (BeamVector, SystemConfig, dirichlet_power,
+                          steering_composite)
 from .prv import prv_beam, prv_plan
 from .zones import ZonePartition, divide_zones, virtual_interval
 
 ZONE_GRID = 1025        # per-zone virtual grid for local worst cases
 GUARD_FLOOR = 5e-4      # absolute gain below which pruned beams are irrelevant
+SWEEP_CELLS = 1e6       # phase-matrix cells per angle block of the general sweep
+PROBE_TOL = 1e-9        # relative slack that keeps near-ties in the general sweep
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -221,25 +231,74 @@ def _matched_codebook_sweep(n: int, centers: np.ndarray, sines: np.ndarray,
         radius *= 2
 
 
+def _phase_powers(n: int, u: np.ndarray) -> np.ndarray:
+    """E[k, m] = exp(-j*pi*k*u[m]) for k = 0..n-1, built by doubling.
+
+    Only the rows k = 1, 2, 4, ... call exp; every other block is one
+    product E[h:2h] = E[:h] * exp(-j*pi*h*u).  Row k is then a product of
+    popcount(k) exponentials, so the rounding error grows with log2(n),
+    not with n as it would along the plain recurrence E[k] = E[k-1]*E[1].
+    """
+    E = np.empty((n, u.size), dtype=complex)
+    E[0] = 1.0
+    h = 1
+    while h < n:
+        m = min(h, n - h)
+        np.multiply(E[:m], np.exp(-1j * np.pi * h * u), out=E[h:h + m])
+        h *= 2
+    return E
+
+
 def _general_sweep(weights: np.ndarray, sines: np.ndarray,
                    scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dense angle x frequency sweep of max-over-beams band-minimum gain."""
+    """Per-angle max over beams of the band-minimum gain, for any codebook.
+
+    The angle axis is cut into blocks of about SWEEP_CELLS / (F*max(L, N))
+    angles.  In each block, beam l's gain at any single frequency bounds
+    its band minimum from above, so the minimum over three probes (both
+    band edges and the centre) is an upper bound U[l, a].  The beam with
+    the largest U at angle a is swept over the full band; its band minimum
+    lower[a] is a gain that some beam reaches.  Beam l is kept at a only
+    if U[l, a] >= lower[a] - PROBE_TOL*max(lower[a], 1), and only the rows
+    kept somewhere in the block are swept over the full band.
+
+    This is exact: a dropped beam's band minimum is at most its U, which
+    lies strictly below a band minimum another beam attains, so it can
+    neither win nor tie.  The same holds for a swept row at the angles
+    where it was not kept, so the argmax needs no mask.  The tolerance only
+    adds survivors, covering the rounding gap between products of
+    different shapes.  Survivors keep their index order, so ties still go
+    to the lowest index; winners can differ from an all-beams sweep only
+    between gains equal to rounding.
+    """
     L, n = weights.shape
     F = scale.size
-    k = np.arange(n)
+    probes = np.unique([0, F // 2, F - 1])
     gains = np.empty(sines.size)
     winner = np.empty(sines.size, dtype=int)
-    # block the angle axis so the N x (F*block) phase matrix stays small
-    block = max(1, int(4e6 / (F * max(L, n))))
+    swept = 0
+    block = max(1, int(SWEEP_CELLS / (F * max(L, n))))
     for a0 in range(0, sines.size, block):
         s = sines[a0:a0 + block]
-        u = np.multiply.outer(scale, s)
-        E = np.exp(-1j * np.pi * np.multiply.outer(k, u.ravel()))
-        G = np.abs(weights @ E) ** 2
-        G = G.reshape(L, F, s.size).min(axis=1)
+        cols = np.arange(s.size)
+        E = _phase_powers(n, np.multiply.outer(scale, s).ravel()).reshape(n, F, s.size)
+        P = np.abs(weights @ E[:, probes].reshape(n, -1)) ** 2
+        U = P.reshape(L, probes.size, s.size).min(axis=1)
+        cand = U.argmax(axis=0)
+        picked, slot = np.unique(cand, return_inverse=True)
+        C = np.abs(weights[picked] @ E.reshape(n, -1)) ** 2
+        lower = C.reshape(picked.size, F, s.size).min(axis=1)[slot, cols]
+        keep = U >= lower - PROBE_TOL * np.maximum(lower, 1.0)
+        keep[cand, cols] = True
+        rows = np.flatnonzero(keep.any(axis=1))
+        G = np.abs(weights[rows] @ E.reshape(n, -1)) ** 2
+        G = G.reshape(rows.size, F, s.size).min(axis=1)
         w = G.argmax(axis=0)
-        gains[a0:a0 + s.size] = G[w, np.arange(s.size)]
-        winner[a0:a0 + s.size] = w
+        gains[a0:a0 + s.size] = G[w, cols]
+        winner[a0:a0 + s.size] = rows[w]
+        swept += rows.size * s.size
+    log.debug("general path (not a response-vector codebook): %d of %d "
+              "beam x angle pairs swept over the full band", swept, L * sines.size)
     return gains, winner
 
 
@@ -249,18 +308,24 @@ def _per_zone_worst(cfg: SystemConfig, cb: Codebook,
 
     The band sweep of an angular zone covers exactly the zone's virtual
     interval, so a single composite sweep over that interval is the band
-    minimum taken over the whole zone.
+    minimum taken over the whole zone.  All zones are evaluated in one
+    pass, row l on its own ZONE_GRID points: a Dirichlet lookup for
+    matched books, otherwise Horner's rule in z = exp(-j*pi*u) over the
+    beam weights, which needs O(L*ZONE_GRID) memory and no N x M matrix.
     """
     bounds = cb.partition.boundaries
-    out = np.empty(len(cb))
-    for l in range(len(cb)):
-        lo, hi = virtual_interval(cfg, bounds[l], bounds[l + 1])
-        grid = np.linspace(lo, hi, ZONE_GRID)
-        if centers is not None:
-            out[l] = (dirichlet_power(grid - centers[l], cfg.N) / cfg.N).min()
-        else:
-            out[l] = composite_gain(cb.beams[l].weights, grid).min()
-    return out
+    lo, hi = np.array([virtual_interval(cfg, bounds[l], bounds[l + 1])
+                       for l in range(len(cb))]).T
+    grid = np.ascontiguousarray(np.linspace(lo, hi, ZONE_GRID, axis=1))
+    if centers is not None:
+        return (dirichlet_power(grid - centers[:, None], cfg.N) / cfg.N).min(axis=1)
+    weights = np.stack([w.weights for w in cb.beams])
+    z = np.exp(-1j * np.pi * grid)
+    acc = np.repeat(weights[:, -1:], ZONE_GRID, axis=1)
+    for k in range(cfg.N - 2, -1, -1):
+        acc *= z
+        acc += weights[:, k:k + 1]
+    return (np.abs(acc) ** 2).min(axis=1)
 
 
 def evaluate(cfg: SystemConfig, cb: Codebook, mode: str = "grid",
@@ -287,6 +352,8 @@ def evaluate(cfg: SystemConfig, cb: Codebook, mode: str = "grid",
     scale = 1.0 + cfg.frequency_grid() / cfg.f_c
     centers = _matched_centers(cfg, cb)
     if centers is not None:
+        log.debug("matched path (response-vector codebook recognised): "
+                  "%d beams x %d angles", len(cb), sines.size)
         gains, winner = _matched_codebook_sweep(cfg.N, centers, sines, scale)
     else:
         weights = np.stack([w.weights for w in cb.beams])

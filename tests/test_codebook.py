@@ -1,9 +1,11 @@
 """Codebook assembly, shifting, and the evaluation harness."""
 
+import logging
+
 import numpy as np
 import pytest
 from dataclasses import replace
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from widebeam import (
     SystemConfig,
@@ -16,18 +18,45 @@ from widebeam import (
 )
 from widebeam.array_model import BeamVector, composite_gain, dirichlet_power, steering_composite
 from widebeam.codebook import (
+    ZONE_GRID,
     Codebook,
     _general_sweep,
     _matched_codebook_sweep,
+    _per_zone_worst,
+    _phase_powers,
     _windowed_min,
     shift_beam,
 )
-from widebeam.zones import divide_zones, prop3_upper_bound
+from widebeam.zones import divide_zones, prop3_upper_bound, virtual_interval
 
 
 def random_cm_beam(n, seed=0):
     rng = np.random.default_rng(seed)
     return BeamVector(np.exp(1j * rng.uniform(0, 2 * np.pi, n)) / np.sqrt(n))
+
+
+def all_beams_band_minima(weights, sines, scale):
+    """Reference sweep: one exp phase matrix, every beam over the full band.
+
+    Returns the L x angles matrix of band-minimum gains; its column max and
+    first argmax are what the general sweep must reproduce.
+    """
+    L, n = weights.shape
+    u = np.multiply.outer(scale, sines)
+    E = np.exp(-1j * np.pi * np.multiply.outer(np.arange(n), u.ravel()))
+    return (np.abs(weights @ E) ** 2).reshape(L, scale.size, sines.size).min(axis=1)
+
+
+def random_book(kind, n, l, rng):
+    """Constant-modulus weights: random, one prototype shifted, or with repeats."""
+    if kind == "shifted":
+        proto = random_cm_beam(n, seed=int(rng.integers(1 << 30))).weights
+        centers = (2.0 * np.arange(1, l + 1) - 1.0) / l - 1.0
+        return proto * steering_composite(n, centers)
+    w = np.exp(1j * rng.uniform(0, 2 * np.pi, (l, n))) / np.sqrt(n)
+    if kind == "duplicated":
+        w = w[rng.integers(0, max(1, l // 3), l)]
+    return w
 
 
 class TestShiftBeam:
@@ -209,6 +238,125 @@ class TestSweepPaths:
         a = evaluate(cfg16, book)
         b = evaluate(cfg16, bent)
         assert a.worst_case == pytest.approx(b.worst_case, rel=1e-6)
+
+
+class TestPhasePowers:
+    @staticmethod
+    def reference(n, u):
+        # exp with the phase k*u reduced mod 2 exactly: split u into two
+        # halves of at most 26 significant bits, so that k*hi and k*lo are
+        # exact for k < 2**11 and only the final sum rounds
+        c = u * (2.0 ** 27 + 1.0)
+        hi = c - (c - u)
+        k = np.arange(n)[:, None]
+        phase = np.fmod(k * hi, 2.0) + k * (u - hi)
+        return np.exp(-1j * np.pi * phase)
+
+    @settings(deadline=None, max_examples=60)
+    @given(n=st.integers(1, 1024),
+           u=st.lists(st.floats(-2, 2), min_size=1, max_size=40))
+    @example(n=1024, u=list(np.linspace(-2, 2, 101)))
+    def test_matches_exp(self, n, u):
+        u = np.array(u + [-2.0, 2.0, -1.0, 1.0, 0.0])
+        E = _phase_powers(n, u)
+        assert np.array_equal(E[0], np.ones(u.size))
+        assert np.abs(E - self.reference(n, u)).max() <= 1e-12
+
+
+class TestGeneralSweepExactness:
+    @settings(deadline=None, max_examples=150)
+    @given(kind=st.sampled_from(["random", "shifted", "duplicated"]),
+           n=st.integers(1, 40), l=st.integers(1, 50), f=st.integers(2, 40),
+           b2=st.floats(0.0, 0.2), n_sines=st.integers(1, 60),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_the_all_beams_sweep(self, kind, n, l, f, b2, n_sines, seed):
+        rng = np.random.default_rng(seed)
+        weights = random_book(kind, n, l, rng)
+        sines = np.sort(np.concatenate([rng.uniform(-1, 1, n_sines), [-1.0, 1.0]]))
+        scale = np.linspace(1 - b2, 1 + b2, f)
+        G = all_beams_band_minima(weights, sines, scale)
+        best = G.max(axis=0)
+        gains, winner = _general_sweep(weights, sines, scale)
+        assert gains == pytest.approx(best, rel=1e-10, abs=1e-12)
+        assert G[winner, np.arange(sines.size)] == pytest.approx(best, rel=1e-10, abs=1e-12)
+        if l > 1:
+            # the winner is unique wherever the top two gains are separated
+            top2 = np.sort(G, axis=0)[-2:]
+            clear = top2[1] - top2[0] > 1e-10 * np.maximum(top2[1], 1.0)
+            assert np.array_equal(winner[clear], G.argmax(axis=0)[clear])
+        # exact copies of a beam tie exactly: the lowest index wins
+        first = [int(np.flatnonzero((weights == weights[w]).all(axis=1))[0]) for w in winner]
+        assert np.array_equal(winner, first)
+
+    def test_designed_book_winners(self, cfg16):
+        book = build_codebook(cfg16)
+        weights = np.stack([w.weights for w in book.beams])
+        sines = np.linspace(-1, 1, 400)
+        scale = 1.0 + cfg16.frequency_grid() / cfg16.f_c
+        G = all_beams_band_minima(weights, sines, scale)
+        gains, winner = _general_sweep(weights, sines, scale)
+        assert gains == pytest.approx(G.max(axis=0), rel=1e-12)
+        top2 = np.sort(G, axis=0)[-2:]
+        clear = top2[1] - top2[0] > 1e-10 * top2[1]
+        assert clear.mean() > 0.9
+        assert np.array_equal(winner[clear], G.argmax(axis=0)[clear])
+
+
+class TestPerZoneWorst:
+    @staticmethod
+    def per_beam_loop(cfg, book, centers):
+        out = []
+        for l, w in enumerate(book.beams):
+            lo, hi = virtual_interval(cfg, *book.partition.boundaries[l:l + 2])
+            grid = np.linspace(lo, hi, ZONE_GRID)
+            if centers is None:
+                out.append(composite_gain(w.weights, grid).min())
+            else:
+                out.append((dirichlet_power(grid - centers[l], cfg.N) / cfg.N).min())
+        return np.array(out)
+
+    def test_designed_book(self, cfg16):
+        book = build_codebook(cfg16)
+        assert _per_zone_worst(cfg16, book, None) == pytest.approx(
+            self.per_beam_loop(cfg16, book, None), rel=1e-10)
+
+    @pytest.mark.parametrize("n,l", [(1, 3), (7, 9), (33, 40)])
+    def test_random_book(self, n, l):
+        cfg = SystemConfig(f_c=140e9, B=10e9, N=n, L=l)
+        part = divide_zones(cfg)
+        book = Codebook(beams=tuple(random_cm_beam(n, seed=i) for i in range(l)),
+                        partition=part, provenance={})
+        assert _per_zone_worst(cfg, book, None) == pytest.approx(
+            self.per_beam_loop(cfg, book, None), rel=1e-10)
+
+    def test_matched_book(self, cfg16):
+        book = narrowband_codebook(cfg16)
+        centers = (2.0 * np.arange(1, 33) - 1.0) / 32 - 1.0
+        assert _per_zone_worst(cfg16, book, centers) == pytest.approx(
+            self.per_beam_loop(cfg16, book, centers), rel=1e-10)
+
+
+class TestEvaluateLog:
+    def records(self, caplog, cfg, book):
+        with caplog.at_level(logging.DEBUG, logger="widebeam.codebook"):
+            evaluate(cfg, book)
+        return [r for r in caplog.records if r.name == "widebeam.codebook"]
+
+    def test_matched_path(self, caplog, cfg16):
+        (rec,) = self.records(caplog, cfg16, narrowband_codebook(cfg16))
+        assert rec.levelno == logging.DEBUG
+        assert rec.getMessage().startswith("matched path (response-vector codebook recognised)")
+
+    def test_general_path_counts_swept_pairs(self, caplog, cfg16):
+        book = build_codebook(cfg16)
+        (rec,) = self.records(caplog, cfg16, book)
+        assert rec.levelno == logging.DEBUG
+        msg = rec.getMessage()
+        assert msg.startswith("general path (not a response-vector codebook)")
+        swept, total = map(int, msg.split(": ")[1].split(" beam")[0].split(" of "))
+        n_sines = evaluate(cfg16, book).angles.size
+        assert total == 32 * n_sines
+        assert n_sines <= swept < total
 
 
 class TestParameterSweep:
