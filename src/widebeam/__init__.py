@@ -23,6 +23,7 @@ from .array_model import (
     steering_composite,
     wideband_beam_gain,
 )
+from .cli import sweep
 from .codebook import (
     Codebook,
     EvaluationReport,
@@ -30,7 +31,6 @@ from .codebook import (
     design_beam_for_aod,
     evaluate,
     shift_beam,
-    sweep,
 )
 from .narrowband import (
     NarrowbandAnalysis,

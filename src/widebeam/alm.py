@@ -7,7 +7,8 @@ folded into an infinity norm over the slack y, and two splittings (x for the
 modulus constraint, r for the target phases) give closed-form block updates:
 
     y: elementwise truncation against the threshold alpha*
-    w: one Hermitian positive-definite solve, factorization reused
+    w: one Hermitian positive-definite solve, diagonalized once by an
+       eigendecomposition of S S^H and reused for every iteration
     x: modulus projection of w + lambda_bar
     r: phase projection of y + S^H w + u_bar
     duals: scaled ascent with small steps beta1, beta2
@@ -22,9 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
-from .array_model import BeamVector, SystemConfig, composite_gain, steering_composite
+from .array_model import BeamVector, SystemConfig, steering_composite
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ class SolverState:
     u_bar: np.ndarray               # scaled multiplier for the y-split, M
     lambda_bar: np.ndarray          # scaled multiplier for the x-split, N
     history: list = field(default_factory=list)  # (primal residual, min gain of x)
-    system_factor: tuple | None = None           # cached Cholesky of the w-system
+    system_factor: tuple | None = None           # cached eigh (lambda, V) of S S^H
 
     @property
     def n(self) -> int:
@@ -110,16 +110,16 @@ def update_y(state: SolverState, rho1: float) -> np.ndarray:
 
 
 def update_w(state: SolverState, rho1: float, rho2: float) -> np.ndarray:
-    """Unconstrained quadratic minimizer; the PD system is factored once."""
+    """Unconstrained quadratic minimizer; S S^H = V diag(lambda) V^H is decomposed once."""
     if state.system_factor is None:
-        A = rho1 * (state.S @ state.S.conj().T) + rho2 * np.eye(state.n)
-        try:
-            state.system_factor = cho_factor(A)
-        except (np.linalg.LinAlgError, ValueError) as e:  # non-finite inputs
-            raise RuntimeError(f"w-update system factorization failed: {e}") from e
+        gram = state.S @ state.S.conj().T
+        if not np.isfinite(gram).all():
+            raise RuntimeError("w-update system is not finite")
+        state.system_factor = np.linalg.eigh(gram)
+    lam, V = state.system_factor
     rhs = rho1 * (state.S @ (np.sqrt(state.n) * state.r - state.u_bar - state.y)) \
         + rho2 * (state.x - state.lambda_bar)
-    return cho_solve(state.system_factor, rhs)
+    return V @ ((V.conj().T @ rhs) / (rho1 * lam + rho2))
 
 
 def update_x(state: SolverState) -> np.ndarray:
@@ -132,9 +132,12 @@ def update_r(state: SolverState) -> np.ndarray:
     return np.exp(1j * np.angle(state.y + state.S.conj().T @ state.w + state.u_bar))
 
 
-def update_duals(state: SolverState, beta1: float, beta2: float) -> tuple[np.ndarray, np.ndarray]:
-    """Scaled dual ascent on both splittings."""
-    u_bar = state.u_bar + beta1 * primal_residual_vector(state)
+def update_duals(state: SolverState, beta1: float, beta2: float,
+                 residual: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled dual ascent on both splittings; `residual` reuses a computed residual."""
+    if residual is None:
+        residual = primal_residual_vector(state)
+    u_bar = state.u_bar + beta1 * residual
     lambda_bar = state.lambda_bar + beta2 * (state.w - state.x)
     return u_bar, lambda_bar
 
@@ -161,8 +164,11 @@ def solve(
     S, grid = build_grid(cfg.N, delta_omega, cfg.solver_grid_size)
     state = initial_state(S, grid, init)
 
+    # C-ordered S^H makes |S^H x|^2 bitwise equal to composite_gain(x, grid)
+    S_h = np.ascontiguousarray(S.conj().T)
+
     def min_gain(x):
-        return float(composite_gain(x, grid).min())
+        return float((np.abs(S_h @ x) ** 2).min())
 
     best_gain = min_gain(state.x)
     best_x = state.x.copy()
@@ -171,9 +177,10 @@ def solve(
         state.w = update_w(state, solver_cfg.rho1, solver_cfg.rho2)
         state.x = update_x(state)
         state.r = update_r(state)
-        state.u_bar, state.lambda_bar = update_duals(state, solver_cfg.beta1, solver_cfg.beta2)
-        residual = float(np.linalg.norm(
-            state.y - np.sqrt(state.n) * state.r + state.S.conj().T @ state.w))
+        res = primal_residual_vector(state)
+        state.u_bar, state.lambda_bar = update_duals(
+            state, solver_cfg.beta1, solver_cfg.beta2, res)
+        residual = float(np.linalg.norm(res))
         g = min_gain(state.x)
         state.history.append((residual, g))
         if g > best_gain:

@@ -19,7 +19,7 @@ import numpy as np
 from . import narrowband, storage
 from .alm import SolverConfig
 from .array_model import SystemConfig, composite_gain, steering_composite
-from .codebook import build_codebook, evaluate, sweep
+from .codebook import build_codebook, evaluate
 from .zones import divide_zones, prop3_upper_bound
 
 EXIT_OK = 0
@@ -86,6 +86,34 @@ def load_config(path: str) -> tuple[SystemConfig, SolverConfig]:
     except (TypeError, ValueError) as e:
         raise ConfigError(f"{path}: {e}") from e
     return cfg, solver_cfg
+
+
+def sweep(cfg: SystemConfig, what: str, n_values, b_values,
+          solver_cfg: SolverConfig | None = None) -> list[tuple]:
+    """(N, B) table of worst cases and the width bound, L fixed by cfg.
+
+    what selects the worst-case column: "narrowband" uses the closed form,
+    "wideband" runs the full design pipeline per cell, "bound" leaves the
+    column empty.  The bound 2/delta_omega is recomputed per B only; it
+    does not depend on N.
+    """
+    if what not in ("narrowband", "wideband", "bound"):
+        raise ValueError(f"unknown sweep kind {what!r}")
+    rows = []
+    bound_cache: dict[float, float] = {}
+    for n in n_values:
+        for b in b_values:
+            cell = replace(cfg, N=int(n), B=float(b))
+            if b not in bound_cache:
+                bound_cache[b] = prop3_upper_bound(divide_zones(cell))
+            if what == "narrowband":
+                worst = narrowband.prop1_worst_case(cell).worst_case_gain
+            elif what == "wideband":
+                worst = evaluate(cell, build_codebook(cell, solver_cfg)).worst_case
+            else:
+                worst = None
+            rows.append((int(n), float(b) / 1e9, worst, bound_cache[b]))
+    return rows
 
 
 def _parse_range(spec: str, scale: float = 1.0) -> list[float]:

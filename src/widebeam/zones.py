@@ -153,21 +153,13 @@ def divide_zones(cfg: SystemConfig) -> ZonePartition:
             hi = mid
     delta = 0.5 * (lo + hi)
 
-    # rebuild the boundary chain at the converged width; clip guards the
-    # last arcsin against the leftover 1e-12 closure error
+    # rebuild the boundary chain at the converged width; clip maps the
+    # sentinel a leftover 1e-12 closure error can produce back onto the range
     boundaries = np.empty(L + 1)
     boundaries[0] = -np.pi / 2
-    phi = -np.pi / 2
-    fc, B = cfg.f_c, cfg.B
     for l in range(1, L + 1):
-        s = np.sin(phi)
-        if phi < 0:
-            num = delta * fc + (fc + B / 2) * s
-            a = num / (fc - B / 2) if num <= 0 else num / (fc + B / 2)
-        else:
-            a = (delta * fc + (fc - B / 2) * s) / (fc + B / 2)
-        phi = float(np.arcsin(np.clip(a, -1.0, 1.0)))
-        boundaries[l] = phi
+        boundaries[l] = np.clip(next_boundary(cfg, boundaries[l - 1], delta),
+                                -np.pi / 2, np.pi / 2)
     boundaries[-1] = np.pi / 2
 
     intervals = np.array(

@@ -186,6 +186,37 @@ class TestSolve:
         assert start == pytest.approx(6.67280796753989, abs=1e-9)
         assert got == pytest.approx(9.19629529924266, abs=1e-9)
 
+    def test_prototype_pin_past_n32(self):
+        # frozen run: design quality at N=64, L=128 beyond the N=16 and
+        # N=32 pins
+        cfg = self.cfg(64, 128)
+        dO = divide_zones(cfg).delta_omega
+        _, grid = build_grid(64, dO, cfg.solver_grid_size)
+        best, _ = solve(cfg, SolverConfig(), dO, prv_beam(prv_plan(64, dO)))
+        got = composite_gain(best.weights, grid).min()
+        assert got == pytest.approx(11.611552809801369, abs=1e-8)
+
+    @pytest.mark.parametrize("n, seed", [(16, None), (32, None), (64, None),
+                                         (8, 11), (8, 12), (8, 13)])
+    def test_loop_gains_agree_with_the_exp_oracle(self, n, seed):
+        # the loop scores iterates by |S^H x|^2; the returned beam, rescored
+        # by composite_gain, must be the best of the start and the history.
+        # Random starts put window minima away from the grid edges.
+        cfg = self.cfg(n, 2 * n)
+        if seed is None:
+            dO = divide_zones(cfg).delta_omega
+            init = prv_beam(prv_plan(n, dO))
+        else:
+            rng = np.random.default_rng(seed)
+            dO = 0.3
+            init = BeamVector(np.exp(1j * rng.uniform(0, 2 * np.pi, n)) / np.sqrt(n))
+        _, grid = build_grid(n, dO, cfg.solver_grid_size)
+        start = composite_gain(init.weights, grid).min()
+        best, history = solve(cfg, SolverConfig(), dO, init)
+        expect = max(start, max(g for _, g in history))
+        got = composite_gain(best.weights, grid).min()
+        assert got == pytest.approx(expect, rel=1e-12, abs=0)
+
     def test_never_scores_below_the_initializer(self):
         rng = np.random.default_rng(10)
         cfg = self.cfg(8, 16)

@@ -239,3 +239,27 @@ def test_console_script_help(tmp_path):
     assert proc.stdout.startswith("usage: widebeam")
     for word in ("design", "baseline", "eval", "sweep", "validate"):
         assert word in proc.stdout
+
+
+def test_cli_and_design_never_import_scipy(tmp_path):
+    """The package is numpy-only: neither the CLI nor a design pulls in scipy.
+
+    Runs in a fresh interpreter, so modules imported by other tests in this
+    session cannot hide or fake an import.
+    """
+    code = (
+        "import sys\n"
+        "import widebeam.cli\n"
+        "from widebeam import SystemConfig, build_codebook\n"
+        "build_codebook(SystemConfig(f_c=140e9, B=10e9, N=8, L=16))\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    env = dict(os.environ)
+    package_root = str(Path(widebeam.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
