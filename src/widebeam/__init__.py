@@ -23,7 +23,6 @@ from .array_model import (
     steering_composite,
     wideband_beam_gain,
 )
-from .cli import sweep
 from .codebook import (
     Codebook,
     EvaluationReport,
@@ -39,6 +38,7 @@ from .narrowband import (
     narrowband_worst_case_B0,
     prop1_worst_case,
     prop2_optimal_N,
+    sweep,
 )
 from .prv import PrvPlan, prv_beam, prv_plan
 from .storage import read_codebook, write_codebook

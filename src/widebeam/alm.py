@@ -16,11 +16,18 @@ modulus constraint, r for the target phases) give closed-form block updates:
 The problem is nonconvex, so iterates can leave a good feasible point and
 not come back; the solver therefore tracks the best feasible iterate seen
 (the initializer included) by its minimum grid gain and returns that.
+
+`solve` keeps no state object: the iterates are local arrays, and each block
+update is a pure function of the arrays it reads.  A C-ordered S^H and the
+eigendecomposition of S S^H are built once per solve.  S^H w is computed once
+per iteration, right after the w-update, and serves the r-update, the primal
+residual and the next iteration's y-update; one more product, |S^H x|^2,
+scores the iterate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,30 +62,6 @@ class SolverConfig:
             raise ValueError("eps must be >= 0")
 
 
-@dataclass
-class SolverState:
-    """One solve's iterate bundle; mutated in place by the block updates."""
-
-    S: np.ndarray                   # N x M steering columns over the window
-    grid: np.ndarray                # the M composite points
-    w: np.ndarray                   # relaxed beam, N
-    x: np.ndarray                   # modulus-feasible beam, N
-    y: np.ndarray                   # infinity-norm slack, M
-    r: np.ndarray                   # unit-modulus targets, M
-    u_bar: np.ndarray               # scaled multiplier for the y-split, M
-    lambda_bar: np.ndarray          # scaled multiplier for the x-split, N
-    history: list = field(default_factory=list)  # (primal residual, min gain of x)
-    system_factor: tuple | None = None           # cached eigh (lambda, V) of S S^H
-
-    @property
-    def n(self) -> int:
-        return self.S.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.S.shape[1]
-
-
 def build_grid(n: int, delta_omega: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     """M uniform composite points over the window, endpoints included, plus S."""
     if m < 2:
@@ -88,62 +71,50 @@ def build_grid(n: int, delta_omega: float, m: int) -> tuple[np.ndarray, np.ndarr
     return S, points
 
 
-def initial_state(S: np.ndarray, grid: np.ndarray, init: BeamVector) -> SolverState:
-    """Start from a feasible beam: w = x = init, zero multipliers, matched r."""
-    w = init.weights.astype(complex).copy()
-    m = S.shape[1]
-    r = np.exp(1j * np.angle(S.conj().T @ w))
-    return SolverState(
-        S=S, grid=grid, w=w, x=w.copy(),
-        y=np.zeros(m, dtype=complex), r=r,
-        u_bar=np.zeros(m, dtype=complex),
-        lambda_bar=np.zeros(S.shape[0], dtype=complex),
-    )
+def w_system(S: np.ndarray, S_h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eigh (lambda, V) of S S^H, the fixed matrix of every w-update."""
+    gram = S @ S_h
+    if not np.isfinite(gram).all():
+        # eigh returns NaN eigenvalues for a non-finite matrix instead of raising
+        raise RuntimeError("w-update system is not finite")
+    return np.linalg.eigh(gram)
 
 
-def update_y(state: SolverState, rho1: float) -> np.ndarray:
-    """Truncation step: shrink c = sqrt(N) r - S^H w - u_bar onto the alpha* ball."""
-    c = np.sqrt(state.n) * state.r - state.S.conj().T @ state.w - state.u_bar
+def update_y(target: np.ndarray, s_hw: np.ndarray, u_bar: np.ndarray,
+             rho1: float) -> np.ndarray:
+    """Truncation step: shrink c = target - S^H w - u_bar onto the alpha* ball.
+
+    target is the scaled phase target sqrt(N) r.
+    """
+    c = target - s_hw - u_bar
     ac = np.abs(c)
-    alpha = max((rho1 * ac.sum() - 1.0) / (state.m * rho1), 0.0)
+    alpha = max((rho1 * ac.sum() - 1.0) / (c.size * rho1), 0.0)
     return np.where(ac <= alpha, c, alpha * np.exp(1j * np.angle(c)))
 
 
-def update_w(state: SolverState, rho1: float, rho2: float) -> np.ndarray:
-    """Unconstrained quadratic minimizer; S S^H = V diag(lambda) V^H is decomposed once."""
-    if state.system_factor is None:
-        gram = state.S @ state.S.conj().T
-        if not np.isfinite(gram).all():
-            raise RuntimeError("w-update system is not finite")
-        state.system_factor = np.linalg.eigh(gram)
-    lam, V = state.system_factor
-    rhs = rho1 * (state.S @ (np.sqrt(state.n) * state.r - state.u_bar - state.y)) \
-        + rho2 * (state.x - state.lambda_bar)
+def update_w(S: np.ndarray, system: tuple[np.ndarray, np.ndarray], v: np.ndarray,
+             z: np.ndarray, rho1: float, rho2: float) -> np.ndarray:
+    """Minimizer of rho1/2 |S^H w - v|^2 + rho2/2 |w - z|^2, given system = eigh(S S^H)."""
+    lam, V = system
+    rhs = rho1 * (S @ v) + rho2 * z
     return V @ ((V.conj().T @ rhs) / (rho1 * lam + rho2))
 
 
-def update_x(state: SolverState) -> np.ndarray:
+def update_x(w: np.ndarray, lambda_bar: np.ndarray) -> np.ndarray:
     """Nearest constant-modulus point to w + lambda_bar; arg(0) taken as 0."""
-    return np.exp(1j * np.angle(state.w + state.lambda_bar)) / np.sqrt(state.n)
+    return np.exp(1j * np.angle(w + lambda_bar)) / np.sqrt(w.size)
 
 
-def update_r(state: SolverState) -> np.ndarray:
+def update_r(y: np.ndarray, s_hw: np.ndarray, u_bar: np.ndarray) -> np.ndarray:
     """Unit-modulus phase targets aligned with y + S^H w + u_bar."""
-    return np.exp(1j * np.angle(state.y + state.S.conj().T @ state.w + state.u_bar))
+    return np.exp(1j * np.angle(y + s_hw + u_bar))
 
 
-def update_duals(state: SolverState, beta1: float, beta2: float,
-                 residual: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Scaled dual ascent on both splittings; `residual` reuses a computed residual."""
-    if residual is None:
-        residual = primal_residual_vector(state)
-    u_bar = state.u_bar + beta1 * residual
-    lambda_bar = state.lambda_bar + beta2 * (state.w - state.x)
-    return u_bar, lambda_bar
-
-
-def primal_residual_vector(state: SolverState) -> np.ndarray:
-    return state.y - np.sqrt(state.n) * state.r + state.S.conj().T @ state.w
+def update_duals(u_bar: np.ndarray, lambda_bar: np.ndarray, residual: np.ndarray,
+                 w: np.ndarray, x: np.ndarray, beta1: float,
+                 beta2: float) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled dual ascent on both splittings: the y-split residual and w - x."""
+    return u_bar + beta1 * residual, lambda_bar + beta2 * (w - x)
 
 
 def solve(
@@ -161,31 +132,38 @@ def solve(
     """
     if init.n != cfg.N:
         raise ValueError(f"initializer length {init.n} does not match N={cfg.N}")
-    S, grid = build_grid(cfg.N, delta_omega, cfg.solver_grid_size)
-    state = initial_state(S, grid, init)
-
+    S, _ = build_grid(cfg.N, delta_omega, cfg.solver_grid_size)
     # C-ordered S^H makes |S^H x|^2 bitwise equal to composite_gain(x, grid)
     S_h = np.ascontiguousarray(S.conj().T)
+    system = w_system(S, S_h)
+    sqrt_n = np.sqrt(cfg.N)
+    rho1, rho2 = solver_cfg.rho1, solver_cfg.rho2
 
     def min_gain(x):
         return float((np.abs(S_h @ x) ** 2).min())
 
-    best_gain = min_gain(state.x)
-    best_x = state.x.copy()
+    # feasible start: w = x = init, zero multipliers, targets matched to S^H w
+    x = w = init.weights
+    s_hw = S_h @ w
+    target = sqrt_n * np.exp(1j * np.angle(s_hw))
+    u_bar = np.zeros(S.shape[1], dtype=complex)
+    lambda_bar = np.zeros(cfg.N, dtype=complex)
+    best_gain, best_x = min_gain(x), x
+    history = []
     for _ in range(solver_cfg.n_ite):
-        state.y = update_y(state, solver_cfg.rho1)
-        state.w = update_w(state, solver_cfg.rho1, solver_cfg.rho2)
-        state.x = update_x(state)
-        state.r = update_r(state)
-        res = primal_residual_vector(state)
-        state.u_bar, state.lambda_bar = update_duals(
-            state, solver_cfg.beta1, solver_cfg.beta2, res)
+        y = update_y(target, s_hw, u_bar, rho1)
+        w = update_w(S, system, target - u_bar - y, x - lambda_bar, rho1, rho2)
+        x = update_x(w, lambda_bar)
+        s_hw = S_h @ w
+        target = sqrt_n * update_r(y, s_hw, u_bar)
+        res = y - target + s_hw
+        u_bar, lambda_bar = update_duals(u_bar, lambda_bar, res, w, x,
+                                         solver_cfg.beta1, solver_cfg.beta2)
         residual = float(np.linalg.norm(res))
-        g = min_gain(state.x)
-        state.history.append((residual, g))
+        g = min_gain(x)
+        history.append((residual, g))
         if g > best_gain:
-            best_gain = g
-            best_x = state.x.copy()
+            best_gain, best_x = g, x
         if residual <= solver_cfg.eps:
             break
-    return BeamVector(best_x), state.history
+    return BeamVector(best_x), history

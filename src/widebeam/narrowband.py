@@ -5,7 +5,8 @@ directions (2l-1)/L - 1.  Under a wide band these beams squint: the worst
 user sits at phi = +-pi/2, where the composite offset accumulates both the
 half-spacing misalignment and the full squint B/(2 f_c).  That worst-case
 gain has a Dirichlet closed form, which in turn yields the element count
-that maximizes it.
+that maximizes it.  `sweep` tabulates that worst case, or the designed
+codebook's, over a grid of element counts and bandwidths.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .alm import SolverConfig
 from .array_model import SystemConfig, BeamVector, dirichlet_power, steering_composite
-from .codebook import Codebook
-from .zones import divide_zones
+from .codebook import Codebook, build_codebook, evaluate
+from .zones import divide_zones, prop3_upper_bound
 
 # argmax location of sin(Nx)^2 / (N sin(x)^2): the root of tan x = 2x in
 # (0, pi], and the rounded coefficient 4x/pi used for the candidate formula
@@ -109,3 +111,31 @@ def prop2_optimal_N(f_c: float, b: float, l: int) -> tuple[tuple[int, int], int]
     hi = max(int(np.ceil(n_real)), 1)
     best = lo if _prop1_gain(f_c, b, lo, l) >= _prop1_gain(f_c, b, hi, l) else hi
     return (lo, hi), best
+
+
+def sweep(cfg: SystemConfig, what: str, n_values, b_values,
+          solver_cfg: SolverConfig | None = None) -> list[tuple]:
+    """(N, B) table of worst cases and the width bound, L fixed by cfg.
+
+    what selects the worst-case column: "narrowband" uses the closed form,
+    "wideband" runs the full design pipeline per cell, "bound" leaves the
+    column empty.  The bound 2/delta_omega is recomputed per B only; it
+    does not depend on N.
+    """
+    if what not in ("narrowband", "wideband", "bound"):
+        raise ValueError(f"unknown sweep kind {what!r}")
+    rows = []
+    bound_cache: dict[float, float] = {}
+    for n in n_values:
+        for b in b_values:
+            cell = replace(cfg, N=int(n), B=float(b))
+            if b not in bound_cache:
+                bound_cache[b] = prop3_upper_bound(divide_zones(cell))
+            if what == "narrowband":
+                worst = prop1_worst_case(cell).worst_case_gain
+            elif what == "wideband":
+                worst = evaluate(cell, build_codebook(cell, solver_cfg)).worst_case
+            else:
+                worst = None
+            rows.append((int(n), float(b) / 1e9, worst, bound_cache[b]))
+    return rows

@@ -1,20 +1,20 @@
 """Block-update solver: each update against its own optimality property."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from widebeam import SolverConfig, SystemConfig, divide_zones
 from widebeam.alm import (
-    SolverState,
     build_grid,
-    initial_state,
-    primal_residual_vector,
     solve,
     update_duals,
     update_r,
     update_w,
     update_x,
     update_y,
+    w_system,
 )
 from widebeam.array_model import BeamVector, composite_gain, steering_composite
 from widebeam.prv import prv_beam, prv_plan
@@ -24,16 +24,19 @@ def matched_beam(n):
     return BeamVector(steering_composite(n, 0.0) / np.sqrt(n))
 
 
-def random_state(n=8, m=16, seed=0):
+def random_iterates(n=8, m=16, seed=0):
+    """S over a 0.4 window, its C-ordered S^H, and random iterates."""
     rng = np.random.default_rng(seed)
-    S, grid = build_grid(n, 0.4, m)
-    state = initial_state(S, grid, matched_beam(n))
-    state.y = rng.normal(size=m) + 1j * rng.normal(size=m)
-    state.u_bar = 0.1 * (rng.normal(size=m) + 1j * rng.normal(size=m))
-    state.lambda_bar = 0.1 * (rng.normal(size=n) + 1j * rng.normal(size=n))
-    state.w = rng.normal(size=n) + 1j * rng.normal(size=n)
-    state.r = np.exp(1j * rng.uniform(0, 2 * np.pi, m))
-    return state
+    S, _ = build_grid(n, 0.4, m)
+    return SimpleNamespace(
+        n=n, m=m, S=S, S_h=np.ascontiguousarray(S.conj().T),
+        y=rng.normal(size=m) + 1j * rng.normal(size=m),
+        u_bar=0.1 * (rng.normal(size=m) + 1j * rng.normal(size=m)),
+        lambda_bar=0.1 * (rng.normal(size=n) + 1j * rng.normal(size=n)),
+        w=rng.normal(size=n) + 1j * rng.normal(size=n),
+        r=np.exp(1j * rng.uniform(0, 2 * np.pi, m)),
+        x=matched_beam(n).weights,
+    )
 
 
 class TestConfig:
@@ -67,95 +70,109 @@ class TestGrid:
 class TestUpdateY:
     def test_hand_worked_truncation(self):
         # m=2 and both residuals at modulus 2 with unit penalty: the
-        # threshold is (1*4-1)/(2*1) = 3/2 and both entries shrink onto it
-        S = np.zeros((4, 2), dtype=complex)
-        state = SolverState(S=S, grid=np.zeros(2), w=np.zeros(4, dtype=complex),
-                            x=np.zeros(4, dtype=complex), y=np.zeros(2, dtype=complex),
-                            r=np.array([1.0, 1.0j]), u_bar=np.zeros(2, dtype=complex),
-                            lambda_bar=np.zeros(4, dtype=complex))
-        y = update_y(state, rho1=1.0)
+        # threshold is (1*4-1)/(2*1) = 3/2 and both entries shrink onto it.
+        # N=4 and w=0, so the target sqrt(N) r is 2r and S^H w is 0
+        r = np.array([1.0, 1.0j])
+        zero = np.zeros(2, dtype=complex)
+        y = update_y(np.sqrt(4) * r, zero, zero, rho1=1.0)
         assert y == pytest.approx(np.array([1.5, 1.5j]), abs=1e-15)
 
     def test_small_residuals_pass_through(self):
-        state = random_state()
-        c = np.sqrt(state.n) * state.r - state.S.conj().T @ state.w - state.u_bar
-        alpha = max((np.abs(c).sum() - 1.0) / state.m, 0.0)
-        y = update_y(state, rho1=1.0)
+        it = random_iterates()
+        c = np.sqrt(it.n) * it.r - it.S.conj().T @ it.w - it.u_bar
+        alpha = max((np.abs(c).sum() - 1.0) / it.m, 0.0)
+        y = update_y(np.sqrt(it.n) * it.r, it.S_h @ it.w, it.u_bar, rho1=1.0)
         passthrough = np.abs(c) <= alpha
         assert np.allclose(y[passthrough], c[passthrough], atol=0)
         assert np.all(np.abs(y) <= alpha + 1e-12)
 
 
+def w_update(it, rho1, rho2):
+    """update_w with the arguments the solve loop passes it."""
+    v = np.sqrt(it.n) * it.r - it.u_bar - it.y
+    return update_w(it.S, w_system(it.S, it.S_h), v, it.x - it.lambda_bar, rho1, rho2)
+
+
 class TestUpdateW:
     def test_solves_the_normal_equations(self):
-        state = random_state(seed=1)
-        w = update_w(state, 1.0, 1.0)
-        A = state.S @ state.S.conj().T + np.eye(state.n)
-        rhs = state.S @ (np.sqrt(state.n) * state.r - state.u_bar - state.y) \
-            + state.x - state.lambda_bar
+        it = random_iterates(seed=1)
+        w = w_update(it, 1.0, 1.0)
+        A = it.S @ it.S.conj().T + np.eye(it.n)
+        rhs = it.S @ (np.sqrt(it.n) * it.r - it.u_bar - it.y) + it.x - it.lambda_bar
         assert np.abs(A @ w - rhs).max() < 1e-9
 
     def test_is_a_stationary_point(self):
-        state = random_state(seed=2)
+        it = random_iterates(seed=2)
         rho1, rho2 = 1.3, 0.7
-        w = update_w(state, rho1, rho2)
+        w = w_update(it, rho1, rho2)
 
         def objective(v):
-            t1 = state.y - np.sqrt(state.n) * state.r + state.S.conj().T @ v + state.u_bar
-            t2 = v - state.x + state.lambda_bar
+            t1 = it.y - np.sqrt(it.n) * it.r + it.S.conj().T @ v + it.u_bar
+            t2 = v - it.x + it.lambda_bar
             return (rho1 / 2) * np.vdot(t1, t1).real + (rho2 / 2) * np.vdot(t2, t2).real
 
         base = objective(w)
         rng = np.random.default_rng(3)
         h = 1e-6
         for _ in range(8):
-            d = rng.normal(size=state.n) + 1j * rng.normal(size=state.n)
+            d = rng.normal(size=it.n) + 1j * rng.normal(size=it.n)
             d /= np.linalg.norm(d)
             slope = (objective(w + h * d) - objective(w - h * d)) / (2 * h)
             assert abs(slope) < 1e-6 * max(1.0, base)
 
-    def test_factorization_cached(self):
-        state = random_state(seed=4)
-        assert state.system_factor is None
-        update_w(state, 1.0, 1.0)
-        factor = state.system_factor
-        assert factor is not None
-        update_w(state, 1.0, 1.0)
-        assert state.system_factor is factor
+    def test_one_eigh_per_solve(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a):
+            calls.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        cfg = SystemConfig(f_c=140e9, B=10e9, N=8, L=16)
+        _, history = solve(cfg, SolverConfig(), 0.4, matched_beam(8))
+        assert len(history) == 50
+        assert calls == [(8, 8)]
 
     def test_nonfinite_system_is_a_solver_failure(self):
-        state = random_state(seed=5)
-        state.S = state.S.copy()
-        state.S[0, 0] = np.nan
+        it = random_iterates(seed=5)
+        S = it.S.copy()
+        S[0, 0] = np.nan
         with pytest.raises(RuntimeError):
-            update_w(state, 1.0, 1.0)
+            w_system(S, np.ascontiguousarray(S.conj().T))
+
+    def test_nan_window_is_a_solver_failure(self):
+        cfg = SystemConfig(f_c=140e9, B=10e9, N=8, L=16)
+        with pytest.raises(RuntimeError, match="not finite"):
+            solve(cfg, SolverConfig(), float("nan"), matched_beam(8))
 
 
 class TestProjections:
     def test_x_is_nearest_constant_modulus_point(self):
-        state = random_state(seed=6)
-        x = update_x(state)
-        assert np.abs(np.abs(x) - 1 / np.sqrt(state.n)).max() < 1e-15
-        target = state.w + state.lambda_bar
+        it = random_iterates(seed=6)
+        x = update_x(it.w, it.lambda_bar)
+        assert np.abs(np.abs(x) - 1 / np.sqrt(it.n)).max() < 1e-15
+        target = it.w + it.lambda_bar
         rng = np.random.default_rng(7)
         dist = np.linalg.norm(target - x)
         for _ in range(10_000):
-            cand = np.exp(1j * rng.uniform(0, 2 * np.pi, state.n)) / np.sqrt(state.n)
+            cand = np.exp(1j * rng.uniform(0, 2 * np.pi, it.n)) / np.sqrt(it.n)
             assert dist <= np.linalg.norm(target - cand) + 1e-12
 
     def test_r_aligns_with_its_argument(self):
-        state = random_state(seed=8)
-        r = update_r(state)
-        v = state.y + state.S.conj().T @ state.w + state.u_bar
+        it = random_iterates(seed=8)
+        r = update_r(it.y, it.S_h @ it.w, it.u_bar)
+        v = it.y + it.S.conj().T @ it.w + it.u_bar
         assert np.allclose(np.abs(r), 1.0, atol=1e-15)
         # phase projection maximizes Re<r, v> among unit-modulus vectors
         assert np.allclose(r * np.abs(v), v, atol=1e-9)
 
     def test_duals_are_scaled_ascent(self):
-        state = random_state(seed=9)
-        u2, l2 = update_duals(state, 1e-3, 1e-3)
-        assert np.allclose(u2 - state.u_bar, 1e-3 * primal_residual_vector(state), atol=1e-15)
-        assert np.allclose(l2 - state.lambda_bar, 1e-3 * (state.w - state.x), atol=1e-15)
+        it = random_iterates(seed=9)
+        residual = it.y - np.sqrt(it.n) * it.r + it.S.conj().T @ it.w
+        u2, l2 = update_duals(it.u_bar, it.lambda_bar, residual, it.w, it.x, 1e-3, 1e-3)
+        assert np.allclose(u2 - it.u_bar, 1e-3 * residual, atol=1e-15)
+        assert np.allclose(l2 - it.lambda_bar, 1e-3 * (it.w - it.x), atol=1e-15)
 
 
 class TestSolve:
@@ -186,15 +203,18 @@ class TestSolve:
         assert start == pytest.approx(6.67280796753989, abs=1e-9)
         assert got == pytest.approx(9.19629529924266, abs=1e-9)
 
-    def test_prototype_pin_past_n32(self):
-        # frozen run: design quality at N=64, L=128 beyond the N=16 and
-        # N=32 pins
-        cfg = self.cfg(64, 128)
+    @pytest.mark.parametrize("n, pin", [(64, 11.611552809801369),
+                                        (128, 10.910906113622838),
+                                        (256, 9.946374814987644)],
+                             ids=["64", "128", "256"])
+    def test_prototype_pin_past_n32(self, n, pin):
+        # frozen runs: design quality at L=2N beyond the N=16 and N=32 pins
+        cfg = self.cfg(n, 2 * n)
         dO = divide_zones(cfg).delta_omega
-        _, grid = build_grid(64, dO, cfg.solver_grid_size)
-        best, _ = solve(cfg, SolverConfig(), dO, prv_beam(prv_plan(64, dO)))
+        _, grid = build_grid(n, dO, cfg.solver_grid_size)
+        best, _ = solve(cfg, SolverConfig(), dO, prv_beam(prv_plan(n, dO)))
         got = composite_gain(best.weights, grid).min()
-        assert got == pytest.approx(11.611552809801369, abs=1e-8)
+        assert got == pytest.approx(pin, abs=1e-8)
 
     @pytest.mark.parametrize("n, seed", [(16, None), (32, None), (64, None),
                                          (8, 11), (8, 12), (8, 13)])

@@ -263,3 +263,27 @@ def test_cli_and_design_never_import_scipy(tmp_path):
                           text=True, env=env, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_package_import_leaves_the_cli_out():
+    """`import widebeam` must not load the CLI, so `-m widebeam.cli` runs cleanly.
+
+    Runs in fresh interpreters: runpy warns that `widebeam.cli` is already
+    in sys.modules when the package imports it, and -W error turns that
+    warning into exit code 1.
+    """
+    env = dict(os.environ)
+    package_root = str(Path(widebeam.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "widebeam.cli", "--help"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: widebeam")
+    code = ("import sys, widebeam\n"
+            "print('widebeam.cli' in sys.modules, widebeam.sweep.__module__)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "widebeam.narrowband"]
