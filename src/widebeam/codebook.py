@@ -3,15 +3,18 @@
 One prototype beam is optimized over a centered virtual window and then
 shifted to every zone center by an element-wise steering product; the shift
 translates the whole gain pattern, so all zones inherit the same local
-worst case.  Evaluation sweeps angle x frequency grids; for codebooks made
-of plain response vectors the sweep collapses to Dirichlet-kernel lookups
-over a few candidate beams per angle, with an envelope bound certifying
-that the skipped beams cannot change the outcome.  Any other codebook goes
-through the general sweep, which prunes exactly without any structure:
-a beam's gain at one frequency bounds its band minimum from above, so a
-beam whose minimum over three probe frequencies falls below a band
-minimum that another beam attains can neither win nor tie, and is never
-swept over the full band.
+worst case.  Evaluation sweeps angle x frequency grids.  Both sweep paths
+prune exactly by one rule: a beam's gain at any one frequency bounds its
+band minimum from above, so a beam whose bound falls below a band minimum
+that another beam attains can neither win nor tie, and is never swept
+over the full band.  For codebooks made of plain response vectors the
+sweep collapses to Dirichlet-kernel lookups over the candidate beams near
+each angle (an envelope bound certifies that the beams outside that
+radius cannot change the outcome); each candidate is bounded by the
+kernel at four of its frequency samples, and only candidates whose bound
+reaches the best minimum found so far get the full sampled minimum.  Any
+other codebook goes through the general sweep, which bounds every beam by
+its minimum over three probe frequencies.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ from .zones import ZonePartition, divide_zones, virtual_interval
 ZONE_GRID = 1025        # per-zone virtual grid for local worst cases
 GUARD_FLOOR = 5e-4      # absolute gain below which pruned beams are irrelevant
 SWEEP_CELLS = 1e6       # phase-matrix cells per angle block of the general sweep
-PROBE_TOL = 1e-9        # relative slack that keeps near-ties in the general sweep
+PROBE_TOL = 1e-9        # relative slack that keeps near-ties in the pruned sweeps
+HORNER_ROWS = 32        # beams per Horner pass of the per-zone minima
 
 log = logging.getLogger(__name__)
 
@@ -135,44 +139,66 @@ def _matched_centers(cfg: SystemConfig, cb: Codebook) -> np.ndarray | None:
     expected_bounds = -1.0 + 2.0 * np.arange(L + 1) / L
     if np.abs(np.sin(cb.partition.boundaries) - expected_bounds).max() > 1e-9:
         return None
+    if any(w.n != cfg.N for w in cb.beams):
+        return None
     centers = (2.0 * np.arange(1, L + 1) - 1.0) / L - 1.0
-    root_n = np.sqrt(cfg.N)
-    for w, c in zip(cb.beams, centers):
-        if w.n != cfg.N:
-            return None
-        if np.abs(w.weights - steering_composite(cfg.N, c) / root_n).max() > 1e-9:
-            return None
+    weights = np.stack([w.weights for w in cb.beams])
+    if np.abs(weights - steering_composite(cfg.N, centers) / np.sqrt(cfg.N)).max() > 1e-9:
+        return None
     return centers
 
 
-def _windowed_min(n: int, lo: np.ndarray, hi: np.ndarray, n_samp: int) -> np.ndarray:
+def _cut_range(n: int, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and last m with the cut point 2m/n inside [lo, hi] (1e-9 slack)."""
+    m_lo = np.ceil(lo * (n / 2.0) - 1e-9).astype(np.int64)
+    m_hi = np.floor(hi * (n / 2.0) + 1e-9).astype(np.int64)
+    return m_lo, m_hi
+
+
+def _window_samples(n: int, lo: np.ndarray, hi: np.ndarray, n_samp: int,
+                    m_lo: np.ndarray, m_hi: np.ndarray, ncut: int) -> np.ndarray:
+    """The samples of [lo, hi] that _windowed_min looks at, on a new first axis.
+
+    Both window ends, then for each of ncut slots the two samples either
+    side of the cut point 2(m_lo + slot)/n.  A slot past m_hi holds the
+    first two samples instead, so every entry is a sample of the window.
+    """
+    h = (hi - lo) / (n_samp - 1)
+    out = np.empty((2 + 2 * ncut,) + lo.shape)
+    out[0] = lo
+    out[1] = hi
+    for slot in range(ncut):
+        m = m_lo + slot
+        t = 2.0 * m / n
+        with np.errstate(divide="ignore", invalid="ignore"):
+            idx = np.floor((t - lo) / h)
+        idx = np.where(np.isfinite(idx), idx, 0.0)
+        idx = np.clip(idx, 0, n_samp - 2).astype(np.int64)
+        idx = np.where(m <= m_hi, idx, 0)
+        np.add(lo, idx * h, out=out[2 + 2 * slot])
+        np.add(out[2 + 2 * slot], h, out=out[3 + 2 * slot])
+    return out
+
+
+def _windowed_min(n: int, lo: np.ndarray, hi: np.ndarray, n_samp: int,
+                  ncut: int | None = None) -> np.ndarray:
     """Minimum of dirichlet_power over n_samp uniform samples of [lo, hi].
 
     Exact, but far cheaper than evaluating every sample: the pattern is
     unimodal between consecutive multiples of 2/n (its nulls and peaks),
     so the sampled minimum is attained at a window end or at a sample
     adjacent to one of those cut points.  Only the candidate samples are
-    evaluated, a handful per window instead of n_samp.
+    evaluated, a handful per window instead of n_samp.  Every window gets
+    ncut cut slots, by default as many as the most crowded window needs;
+    a caller that evaluates part of a batch passes the batch's count, so
+    each window is evaluated on the same samples as in the whole batch.
     """
     if n_samp <= 1:
         return dirichlet_power(lo, n)
-    h = (hi - lo) / (n_samp - 1)
-    m_lo = np.ceil(lo * (n / 2.0) - 1e-9).astype(np.int64)
-    m_hi = np.floor(hi * (n / 2.0) + 1e-9).astype(np.int64)
-    parts = [lo[..., None], hi[..., None]]
-    ncut = int(np.max(m_hi - m_lo + 1, initial=0))
-    if ncut > 0:
-        m = m_lo[..., None] + np.arange(ncut)
-        t = 2.0 * m / n
-        with np.errstate(divide="ignore", invalid="ignore"):
-            idx = np.floor((t - lo[..., None]) / h[..., None])
-        idx = np.where(np.isfinite(idx), idx, 0.0)
-        idx = np.clip(idx, 0, n_samp - 2).astype(np.int64)
-        idx = np.where(m <= m_hi[..., None], idx, 0)
-        left = lo[..., None] + idx * h[..., None]
-        parts += [left, left + h[..., None]]
-    args = np.concatenate(parts, axis=-1)
-    return dirichlet_power(args, n).min(axis=-1)
+    m_lo, m_hi = _cut_range(n, lo, hi)
+    if ncut is None:
+        ncut = int(np.max(m_hi - m_lo + 1, initial=0))
+    return dirichlet_power(_window_samples(n, lo, hi, n_samp, m_lo, m_hi, ncut), n).min(axis=0)
 
 
 def _matched_codebook_sweep(n: int, centers: np.ndarray, sines: np.ndarray,
@@ -193,6 +219,20 @@ def _matched_codebook_sweep(n: int, centers: np.ndarray, sines: np.ndarray,
       lobe, so it straddles an exact null of that beam's pattern; the
       beam's sampled band minimum is then at most a slope-bounded
       residue at the sample nearest that null.
+
+    Within the radius, candidates are branch-and-bound pruned.  The kernel
+    at any frequency sample bounds the sampled band minimum from above, so
+    the kernel at both window ends and at the two samples either side of
+    the first cut point in the window gives a bound U per (angle,
+    candidate) pair.  Each angle visits its candidates in decreasing U
+    and takes the full sampled minimum (_windowed_min) only while U is at
+    least the best minimum found so far, less PROBE_TOL*max(best, 1).
+    This is exact: a skipped candidate's minimum is at most its U, below a
+    minimum another candidate attains, so it can neither win nor tie.  The
+    tolerance covers the rounding between the bound and the minimum.  The
+    argmax then runs in offset order over the evaluated pairs, each on the
+    samples the unpruned batch would use, so gains and winners are those
+    of evaluating every candidate.
     """
     L = centers.size
     F = scale.size
@@ -205,30 +245,55 @@ def _matched_codebook_sweep(n: int, centers: np.ndarray, sines: np.ndarray,
     rows = np.arange(sines.size)
     j0 = np.clip(np.floor((sines + 1.0) / spacing).astype(int), 0, L - 1)
     radius = int(np.ceil((b2 + 2.0 / n + 1.0 / L) / spacing)) + 1
+    swept = pairs = 0
     while True:
         offsets = np.arange(L) if 2 * radius + 1 >= L else np.arange(-radius, radius + 1)
         j = (j0[:, None] + offsets[None, :]) % L
         c = centers[j]
-        g = _windowed_min(n, c - win_hi[:, None], c - win_lo[:, None], F) / n
+        lo = c - win_hi[:, None]
+        hi = c - win_lo[:, None]
+        m_lo, m_hi = _cut_range(n, lo, hi)
+        ncut = int(np.max(m_hi - m_lo + 1, initial=0))
+        # one sample plane at a time keeps the kernel's temporaries small
+        bound = np.full(j.shape, np.inf)
+        for x in _window_samples(n, lo, hi, F, m_lo, m_hi, 1):
+            np.minimum(bound, dirichlet_power(x, n) / n, out=bound)
+        order = np.argsort(-bound, axis=1, kind="stable")
+        bound = np.take_along_axis(bound, order, axis=1)
+        g = np.full(j.shape, -np.inf)
+        best = np.full(sines.size, -np.inf)
+        for k in range(offsets.size):
+            act = np.flatnonzero(bound[:, k] >= best - PROBE_TOL * np.maximum(best, 1.0))
+            if act.size == 0:
+                break
+            col = order[act, k]
+            v = _windowed_min(n, lo[act, col], hi[act, col], F, ncut) / n
+            g[act, col] = v
+            best[act] = np.maximum(best[act], v)
+            swept += act.size
+        pairs += j.size
         pick = np.argmax(g, axis=1)
-        best = g[rows, pick]
         winner = j[rows, pick]
         if 2 * radius + 1 >= L:
-            return best, winner
+            break
         # skipped beams sit at least (radius+1) spacings away on the circle;
         # every window point is `raw` or more from their centers
         raw = (radius + 1) * spacing - np.abs(sines - centers[j0]) - b2 * np.abs(sines)
         clipped = np.clip(raw, 1e-9, 1.0)
-        bound = 1.0 / (n * np.sin(np.pi * clipped / 2.0) ** 2)
+        envelope = 1.0 / (n * np.sin(np.pi * clipped / 2.0) ** 2)
         cap = np.maximum(best, GUARD_FLOOR)
-        ok = bound <= cap
+        ok = envelope <= cap
         window = 2.0 * b2 * np.abs(sines)
         step = window / max(F - 1, 1)
-        residue = bound * (n * np.pi * step / 4.0) ** 2
+        residue = envelope * (n * np.pi * step / 4.0) ** 2
         ok |= (window >= 2.0 / n) & (raw >= 2.0 / n) & (residue <= cap)
         if np.all(ok):
-            return best, winner
+            break
         radius *= 2
+    log.debug("matched path (response-vector codebook recognised): %d beams x %d "
+              "angles, %d of %d candidate pairs given the full band minimum",
+              L, sines.size, swept, pairs)
+    return best, winner
 
 
 def _phase_powers(n: int, u: np.ndarray) -> np.ndarray:
@@ -308,24 +373,30 @@ def _per_zone_worst(cfg: SystemConfig, cb: Codebook,
 
     The band sweep of an angular zone covers exactly the zone's virtual
     interval, so a single composite sweep over that interval is the band
-    minimum taken over the whole zone.  All zones are evaluated in one
-    pass, row l on its own ZONE_GRID points: a Dirichlet lookup for
-    matched books, otherwise Horner's rule in z = exp(-j*pi*u) over the
-    beam weights, which needs O(L*ZONE_GRID) memory and no N x M matrix.
+    minimum taken over the whole zone.  For matched books that minimum is
+    _windowed_min over the zone's ZONE_GRID samples, a handful of
+    Dirichlet lookups per zone.  Otherwise row l is evaluated on its own
+    ZONE_GRID points by Horner's rule in z = exp(-j*pi*u) over the beam
+    weights, HORNER_ROWS rows at a time so the accumulator stays in cache;
+    no N x M matrix is formed.
     """
     bounds = cb.partition.boundaries
     lo, hi = np.array([virtual_interval(cfg, bounds[l], bounds[l + 1])
                        for l in range(len(cb))]).T
-    grid = np.ascontiguousarray(np.linspace(lo, hi, ZONE_GRID, axis=1))
     if centers is not None:
-        return (dirichlet_power(grid - centers[:, None], cfg.N) / cfg.N).min(axis=1)
+        return _windowed_min(cfg.N, lo - centers, hi - centers, ZONE_GRID) / cfg.N
+    grid = np.ascontiguousarray(np.linspace(lo, hi, ZONE_GRID, axis=1))
     weights = np.stack([w.weights for w in cb.beams])
-    z = np.exp(-1j * np.pi * grid)
-    acc = np.repeat(weights[:, -1:], ZONE_GRID, axis=1)
-    for k in range(cfg.N - 2, -1, -1):
-        acc *= z
-        acc += weights[:, k:k + 1]
-    return (np.abs(acc) ** 2).min(axis=1)
+    out = np.empty(len(cb))
+    for r in range(0, len(cb), HORNER_ROWS):
+        z = np.exp(-1j * np.pi * grid[r:r + HORNER_ROWS])
+        w = weights[r:r + HORNER_ROWS]
+        acc = np.repeat(w[:, -1:], ZONE_GRID, axis=1)
+        for k in range(cfg.N - 2, -1, -1):
+            acc *= z
+            acc += w[:, k:k + 1]
+        out[r:r + HORNER_ROWS] = (np.abs(acc) ** 2).min(axis=1)
+    return out
 
 
 def evaluate(cfg: SystemConfig, cb: Codebook, mode: str = "grid",
@@ -352,8 +423,6 @@ def evaluate(cfg: SystemConfig, cb: Codebook, mode: str = "grid",
     scale = 1.0 + cfg.frequency_grid() / cfg.f_c
     centers = _matched_centers(cfg, cb)
     if centers is not None:
-        log.debug("matched path (response-vector codebook recognised): "
-                  "%d beams x %d angles", len(cb), sines.size)
         gains, winner = _matched_codebook_sweep(cfg.N, centers, sines, scale)
     else:
         weights = np.stack([w.weights for w in cb.beams])

@@ -18,6 +18,7 @@ from widebeam import (
 )
 from widebeam.array_model import BeamVector, composite_gain, dirichlet_power, steering_composite
 from widebeam.codebook import (
+    GUARD_FLOOR,
     ZONE_GRID,
     Codebook,
     _general_sweep,
@@ -57,6 +58,41 @@ def random_book(kind, n, l, rng):
     if kind == "duplicated":
         w = w[rng.integers(0, max(1, l // 3), l)]
     return w
+
+
+def unpruned_matched_sweep(n, centers, sines, scale):
+    """Reference matched sweep: every candidate in the radius goes through
+    _windowed_min in one batch, and the radius doubles until the skipped
+    beams are certified, by the same two rules as the library.
+    """
+    L, F = centers.size, scale.size
+    spacing = 2.0 / L
+    b2 = float(scale[-1] - 1.0)
+    win_lo = np.minimum(scale[0] * sines, scale[-1] * sines)
+    win_hi = np.maximum(scale[0] * sines, scale[-1] * sines)
+    rows = np.arange(sines.size)
+    j0 = np.clip(np.floor((sines + 1.0) / spacing).astype(int), 0, L - 1)
+    radius = int(np.ceil((b2 + 2.0 / n + 1.0 / L) / spacing)) + 1
+    while True:
+        full = 2 * radius + 1 >= L
+        offsets = np.arange(L) if full else np.arange(-radius, radius + 1)
+        j = (j0[:, None] + offsets[None, :]) % L
+        c = centers[j]
+        g = _windowed_min(n, c - win_hi[:, None], c - win_lo[:, None], F) / n
+        pick = np.argmax(g, axis=1)
+        best, winner = g[rows, pick], j[rows, pick]
+        if full:
+            return best, winner
+        raw = (radius + 1) * spacing - np.abs(sines - centers[j0]) - b2 * np.abs(sines)
+        envelope = 1.0 / (n * np.sin(np.pi * np.clip(raw, 1e-9, 1.0) / 2.0) ** 2)
+        cap = np.maximum(best, GUARD_FLOOR)
+        window = 2.0 * b2 * np.abs(sines)
+        step = window / max(F - 1, 1)
+        residue = envelope * (n * np.pi * step / 4.0) ** 2
+        ok = (envelope <= cap) | ((window >= 2.0 / n) & (raw >= 2.0 / n) & (residue <= cap))
+        if np.all(ok):
+            return best, winner
+        radius *= 2
 
 
 class TestShiftBeam:
@@ -240,6 +276,47 @@ class TestSweepPaths:
         assert a.worst_case == pytest.approx(b.worst_case, rel=1e-6)
 
 
+class TestMatchedSweepExactness:
+    @settings(deadline=None, max_examples=120)
+    @given(n=st.integers(1, 160), l=st.integers(1, 260), f=st.integers(2, 60),
+           b2=st.one_of(st.just(0.0), st.floats(0.0, 0.01), st.floats(0.0, 0.2)),
+           n_sines=st.integers(0, 200), n_edges=st.integers(0, 20),
+           n_near=st.integers(0, 20), seed=st.integers(0, 2 ** 32 - 1),
+           extra=st.lists(st.floats(-1, 1), max_size=4))
+    # the Prop. 1 zero regime: N=140, L=200, B=18 GHz at f_c=140 GHz
+    @example(n=140, l=200, f=257, b2=9e9 / 140e9, n_sines=400, n_edges=20,
+             n_near=20, seed=1, extra=[])
+    # fewer beams than antennas
+    @example(n=64, l=20, f=33, b2=5e9 / 140e9, n_sines=200, n_edges=20,
+             n_near=20, seed=2, extra=[])
+    # a near-flat window 7e-9 off a beam center: its minimum is decided by
+    # rounding, and differs by one ulp unless the pruned call evaluates it
+    # on the same samples as the whole batch
+    @example(n=116, l=174, f=42, b2=3.3201179946349743e-12, n_sines=0,
+             n_edges=0, n_near=0, seed=0, extra=[0.6149425353144793])
+    def test_bitwise_equal_to_the_unpruned_sweep(self, n, l, f, b2, n_sines,
+                                                 n_edges, n_near, seed, extra):
+        rng = np.random.default_rng(seed)
+        centers = (2.0 * np.arange(1, l + 1) - 1.0) / l - 1.0
+        # zone edges sit halfway between two beams, where winners tie
+        edges = -1.0 + 2.0 * rng.integers(0, l + 1, n_edges) / l
+        # angles just off a beam center see a nearly flat pattern
+        near = centers[rng.integers(0, l, n_near)] + rng.choice([-1, 1], n_near) * 10 ** rng.uniform(-9, -5, n_near)
+        sines = np.unique(np.clip(np.concatenate([rng.uniform(-1, 1, n_sines), edges, near,
+                                                  extra, [-1.0, 0.0, 1.0]]), -1, 1))
+        scale = np.linspace(1 - b2, 1 + b2, f)
+        gains, winner = _matched_codebook_sweep(n, centers, sines, scale)
+        ref_gains, ref_winner = unpruned_matched_sweep(n, centers, sines, scale)
+        assert np.array_equal(gains, ref_gains)
+        assert np.array_equal(winner, ref_winner)
+
+    def test_narrowband_weights_are_the_response_vectors(self, cfg16):
+        book = narrowband_codebook(cfg16)
+        centers = (2.0 * np.arange(1, 33) - 1.0) / 32 - 1.0
+        for w, c in zip(book.beams, centers):
+            assert np.array_equal(w.weights, steering_composite(16, c) / np.sqrt(16))
+
+
 class TestPhasePowers:
     @staticmethod
     def reference(n, u):
@@ -346,6 +423,16 @@ class TestEvaluateLog:
         (rec,) = self.records(caplog, cfg16, narrowband_codebook(cfg16))
         assert rec.levelno == logging.DEBUG
         assert rec.getMessage().startswith("matched path (response-vector codebook recognised)")
+
+    def test_matched_path_counts_evaluated_pairs(self, caplog, cfg16):
+        book = narrowband_codebook(cfg16)
+        (rec,) = self.records(caplog, cfg16, book)
+        msg = rec.getMessage()
+        assert msg.startswith("matched path (response-vector codebook recognised)")
+        n_sines = evaluate(cfg16, book).angles.size
+        assert f": 32 beams x {n_sines} angles, " in msg
+        full, pairs = map(int, msg.split(", ")[1].split(" candidate")[0].split(" of "))
+        assert n_sines <= full <= pairs
 
     def test_general_path_counts_swept_pairs(self, caplog, cfg16):
         book = build_codebook(cfg16)
