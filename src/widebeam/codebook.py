@@ -139,8 +139,6 @@ def _matched_centers(cfg: SystemConfig, cb: Codebook) -> np.ndarray | None:
     expected_bounds = -1.0 + 2.0 * np.arange(L + 1) / L
     if np.abs(np.sin(cb.partition.boundaries) - expected_bounds).max() > 1e-9:
         return None
-    if any(w.n != cfg.N for w in cb.beams):
-        return None
     centers = (2.0 * np.arange(1, L + 1) - 1.0) / L - 1.0
     weights = np.stack([w.weights for w in cb.beams])
     if np.abs(weights - steering_composite(cfg.N, centers) / np.sqrt(cfg.N)).max() > 1e-9:
@@ -148,11 +146,12 @@ def _matched_centers(cfg: SystemConfig, cb: Codebook) -> np.ndarray | None:
     return centers
 
 
-def _cut_range(n: int, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First and last m with the cut point 2m/n inside [lo, hi] (1e-9 slack)."""
+def _cut_range(n: int, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """First and last m with the cut point 2m/n inside [lo, hi] (1e-9
+    slack), and the most cut points any one window holds."""
     m_lo = np.ceil(lo * (n / 2.0) - 1e-9).astype(np.int64)
     m_hi = np.floor(hi * (n / 2.0) + 1e-9).astype(np.int64)
-    return m_lo, m_hi
+    return m_lo, m_hi, int(np.max(m_hi - m_lo + 1, initial=0))
 
 
 def _window_samples(n: int, lo: np.ndarray, hi: np.ndarray, n_samp: int,
@@ -195,9 +194,9 @@ def _windowed_min(n: int, lo: np.ndarray, hi: np.ndarray, n_samp: int,
     """
     if n_samp <= 1:
         return dirichlet_power(lo, n)
-    m_lo, m_hi = _cut_range(n, lo, hi)
+    m_lo, m_hi, most = _cut_range(n, lo, hi)
     if ncut is None:
-        ncut = int(np.max(m_hi - m_lo + 1, initial=0))
+        ncut = most
     return dirichlet_power(_window_samples(n, lo, hi, n_samp, m_lo, m_hi, ncut), n).min(axis=0)
 
 
@@ -252,8 +251,7 @@ def _matched_codebook_sweep(n: int, centers: np.ndarray, sines: np.ndarray,
         c = centers[j]
         lo = c - win_hi[:, None]
         hi = c - win_lo[:, None]
-        m_lo, m_hi = _cut_range(n, lo, hi)
-        ncut = int(np.max(m_hi - m_lo + 1, initial=0))
+        m_lo, m_hi, ncut = _cut_range(n, lo, hi)
         # one sample plane at a time keeps the kernel's temporaries small
         bound = np.full(j.shape, np.inf)
         for x in _window_samples(n, lo, hi, F, m_lo, m_hi, 1):
