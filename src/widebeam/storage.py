@@ -2,8 +2,11 @@
 
 Floats are always written with 17 significant digits, enough to round-trip
 IEEE doubles exactly, so write -> read -> write is byte-identical.  The
+codebook writer fills one `%.17g` template per beam row, and the reader
+checks and stores one row at a time, so neither runs a Python loop per
+number.  Every number must be a finite JSON number that fits a double.  The
 reader validates structure before constructing anything and reports the
-JSON pointer of the first offending field.
+JSON pointer of the first offending field in document order.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from itertools import chain
 
 import numpy as np
 
@@ -46,14 +50,15 @@ def codebook_json(cb: Codebook) -> str:
         '  "boundaries_rad": [' + ", ".join(_f(b) for b in cb.partition.boundaries) + "],",
         '  "beams": [',
     ]
-    beam_rows = []
-    for w in cb.beams:
-        pairs = ", ".join(f"[{_f(v.real)}, {_f(v.imag)}]" for v in w.weights)
-        beam_rows.append(f"    [{pairs}]")
-    lines.append(",\n".join(beam_rows))
+    # `%.17g` gives the same text as format(x, ".17g") for every double
+    row = "    [" + ", ".join(["[%.17g, %.17g]"] * int(c["N"])) + "]"
+    lines.append(",\n".join([row % tuple(w.weights.view(np.float64).tolist())
+                              for w in cb.beams]))
+    # ending the last line with the newline lets one join build the text; a
+    # trailing `+ "\n"` would copy all of it once more
     lines.append("  ]")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines.append("}\n")
+    return "\n".join(lines)
 
 
 def write_codebook(path, cb: Codebook) -> None:
@@ -69,8 +74,49 @@ def _require(cond: bool, pointer: str, message: str) -> None:
 def _number(value, pointer: str) -> float:
     _require(isinstance(value, (int, float)) and not isinstance(value, bool),
              pointer, "expected a number")
-    _require(math.isfinite(value), pointer, "expected a finite number")
-    return float(value)
+    try:
+        x = float(value)
+    except OverflowError:  # a JSON integer beyond the double range
+        x = math.inf
+    _require(math.isfinite(x), pointer, "expected a finite number")
+    return x
+
+
+_NUMBER_TYPES = {float, int}  # exact types, so bools are rejected
+
+
+def _fill_row(row, n: int, out: np.ndarray) -> bool:
+    """Copy one `[[re, im], ...]` beam row into `out` (2n doubles).
+
+    Returns False, with `out` unspecified, when any check fails: the row is
+    not a list of n pairs, a value is not a JSON number, or a value is not
+    finite as a double.  Every check runs at C speed over the whole row.
+    """
+    if type(row) is not list or len(row) != n:
+        return False
+    if set(map(type, row)) != {list} or set(map(len, row)) != {2}:
+        return False
+    flat = list(chain.from_iterable(row))
+    if not set(map(type, flat)) <= _NUMBER_TYPES:
+        return False
+    try:
+        out[:] = flat
+    except OverflowError:
+        return False
+    return bool(np.isfinite(out).all())
+
+
+def _row_fault(row, n: int, pointer: str) -> None:
+    """Raise at the first field of a row that `_fill_row` rejected."""
+    _require(isinstance(row, list), pointer, "expected a list")
+    _require(len(row) == n, pointer, f"expected {n} weights for n={n}")
+    for k, pair in enumerate(row):
+        _require(isinstance(pair, list) and len(pair) == 2,
+                 f"{pointer}/{k}", "expected an [re, im] pair")
+        _number(pair[0], f"{pointer}/{k}/0")
+        _number(pair[1], f"{pointer}/{k}/1")
+    # _fill_row rejects exactly the rows with one of the faults above
+    raise CodebookFormatError(pointer, "malformed beam row")
 
 
 def parse_codebook(text: str) -> tuple[Codebook, SystemConfig]:
@@ -117,20 +163,18 @@ def parse_codebook(text: str) -> tuple[Codebook, SystemConfig]:
     beams_doc = doc.get("beams")
     _require(isinstance(beams_doc, list), "/beams", "expected a list")
     _require(len(beams_doc) == l, "/beams", f"expected {l} beams for l={l}")
-    beams = []
+    # size the array by n only once a row has been seen to hold n pairs
+    if not (isinstance(beams_doc[0], list) and len(beams_doc[0]) == n):
+        _row_fault(beams_doc[0], n, "/beams/0")
+    weights = np.empty((l, n), dtype=complex)
+    values = weights.view(np.float64)
     for i, row in enumerate(beams_doc):
-        _require(isinstance(row, list), f"/beams/{i}", "expected a list")
-        _require(len(row) == n, f"/beams/{i}", f"expected {n} weights for n={n}")
-        w = np.empty(n, dtype=complex)
-        for k, pair in enumerate(row):
-            _require(isinstance(pair, list) and len(pair) == 2,
-                     f"/beams/{i}/{k}", "expected an [re, im] pair")
-            w[k] = complex(_number(pair[0], f"/beams/{i}/{k}/0"),
-                           _number(pair[1], f"/beams/{i}/{k}/1"))
-        dev = np.abs(np.abs(w) - 1.0 / np.sqrt(n)).max()
+        if not _fill_row(row, n, values[i]):
+            _row_fault(row, n, f"/beams/{i}")
+        dev = np.abs(np.abs(weights[i]) - 1.0 / np.sqrt(n)).max()
         _require(dev <= MODULUS_TOL, f"/beams/{i}",
                  f"constant-modulus violation (max deviation {dev:.3e})")
-        beams.append(BeamVector(w))
+    beams = [BeamVector(w) for w in weights]
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # a stored L < N file is still readable

@@ -194,6 +194,16 @@ class TestFailureModes:
         assert main(["eval", str(bad)]) == 1
         assert "/version" in capsys.readouterr().err
 
+    def test_huge_integer_weight_is_a_config_error(self, small_config, tmp_path, capsys):
+        book = tmp_path / "cb.json"
+        assert main(["baseline", small_config, "--out", str(book)]) == 0
+        doc = json.loads(book.read_text(encoding="utf-8"))
+        doc["beams"][2][1][0] = 10 ** 400
+        book.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["eval", str(book)]) == 1
+        assert "/beams/2/1/0: expected a finite number" in capsys.readouterr().err
+
     def test_solver_failure_exits_three(self, small_config, tmp_path, capsys,
                                         monkeypatch):
         def boom(cfg, solver_cfg):

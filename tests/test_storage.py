@@ -1,11 +1,16 @@
 """File formats: canonical codebook JSON and the two CSV writers."""
 
 import json
+import math
+from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from widebeam import SystemConfig, build_codebook, evaluate, narrowband_codebook
+from widebeam.array_model import MODULUS_TOL, BeamVector
 from widebeam.storage import (
     CodebookFormatError,
     codebook_json,
@@ -24,6 +29,84 @@ def small_designed():
 
 def doc_of(cb):
     return json.loads(codebook_json(cb))
+
+
+# an integer too large for a double: 1 followed by 400 zeros
+HUGE = 10 ** 400
+
+
+def oracle_codebook_json(cb):
+    """The per-element writer the templated one replaced, kept as reference."""
+    def f(x):
+        return format(float(x), ".17g")
+
+    c = cb.provenance["config"]
+    lines = [
+        "{",
+        '  "version": 1,',
+        '  "config": {'
+        f'"f_c_hz": {f(c["f_c"])}, "b_hz": {f(c["B"])}, '
+        f'"n": {int(c["N"])}, "l": {int(c["L"])}}},',
+        f'  "delta_omega": {f(cb.partition.delta_omega)},',
+        '  "boundaries_rad": [' + ", ".join(f(b) for b in cb.partition.boundaries) + "],",
+        '  "beams": [',
+    ]
+    beam_rows = []
+    for w in cb.beams:
+        pairs = ", ".join(f"[{f(v.real)}, {f(v.imag)}]" for v in w.weights)
+        beam_rows.append(f"    [{pairs}]")
+    lines.append(",\n".join(beam_rows))
+    lines.append("  ]")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def _oracle_require(cond, pointer, message):
+    if not cond:
+        raise CodebookFormatError(pointer, message)
+
+
+def _oracle_number(value, pointer):
+    _oracle_require(isinstance(value, (int, float)) and not isinstance(value, bool),
+                    pointer, "expected a number")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        finite = False
+    _oracle_require(finite, pointer, "expected a finite number")
+    return float(value)
+
+
+def oracle_beams(doc):
+    """The per-element beam reader the row-wise one replaced, kept as reference.
+
+    Walks `doc["beams"]` of an otherwise valid document and returns the
+    (L, N) weights, or raises at the first bad field in document order.
+    """
+    n = doc["config"]["n"]
+    rows = []
+    for i, row in enumerate(doc["beams"]):
+        _oracle_require(isinstance(row, list), f"/beams/{i}", "expected a list")
+        _oracle_require(len(row) == n, f"/beams/{i}", f"expected {n} weights for n={n}")
+        w = np.empty(n, dtype=complex)
+        for k, pair in enumerate(row):
+            _oracle_require(isinstance(pair, list) and len(pair) == 2,
+                            f"/beams/{i}/{k}", "expected an [re, im] pair")
+            w[k] = complex(_oracle_number(pair[0], f"/beams/{i}/{k}/0"),
+                           _oracle_number(pair[1], f"/beams/{i}/{k}/1"))
+        dev = np.abs(np.abs(w) - 1.0 / np.sqrt(n)).max()
+        _oracle_require(dev <= MODULUS_TOL, f"/beams/{i}",
+                        f"constant-modulus violation (max deviation {dev:.3e})")
+        rows.append(w)
+    return np.array(rows)
+
+
+def loaded_weights(cb):
+    return np.stack([w.weights for w in cb.beams])
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 class TestRoundTrip:
@@ -59,11 +142,137 @@ class TestRoundTrip:
         assert np.array_equal(a.gains, b.gains)
         assert a.worst_case == b.worst_case
 
+    def test_single_antenna_zero_band_book(self):
+        # N=1 weights are exactly 1 + 0j, which 17 significant digits write
+        # as the JSON integers 1 and 0
+        book = narrowband_codebook(SystemConfig(f_c=140e9, B=0.0, N=1, L=2))
+        text = codebook_json(book)
+        assert "    [[1, 0]],\n    [[1, 0]]\n" in text
+        again, cfg = parse_codebook(text)
+        assert (cfg.N, cfg.L, cfg.B) == (1, 2, 0.0)
+        assert codebook_json(again) == text
+
     def test_rewriting_the_same_book_is_stable(self, tmp_path, small_designed):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         write_codebook(p1, small_designed)
         write_codebook(p2, small_designed)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+@lru_cache(maxsize=None)
+def zero_band_book(n, l):
+    return narrowband_codebook(SystemConfig(f_c=140e9, B=0.0, N=n, L=l))
+
+
+def unit_pairs(n):
+    """[re, im] of modulus 1/sqrt(n): on the axes (signed zeros included),
+    at a drawn phase, or with one component small enough to need an
+    exponent in its 17-digit text."""
+    a = 1.0 / math.sqrt(n)
+    axis = st.sampled_from([(a, 0.0), (-a, -0.0), (0.0, a), (-0.0, -a),
+                            (a, -0.0), (-0.0, a)])
+    phase = st.floats(-math.pi, math.pi).map(lambda t: (a * math.cos(t), a * math.sin(t)))
+    small = st.tuples(st.floats(1e-300, 1e-5), st.booleans(), st.booleans()).map(
+        lambda d: _with_small(a, *d))
+    return st.one_of(axis, phase, small)
+
+
+def _with_small(a, t, negative, swap):
+    pair = (math.sqrt(a * a - t * t), -t if negative else t)
+    return pair[::-1] if swap else pair
+
+
+@st.composite
+def drawn_books(draw):
+    n = draw(st.integers(1, 6))
+    l = draw(st.integers(n, n + 3))
+    base = zero_band_book(n, l)
+    pairs = st.lists(unit_pairs(n), min_size=n, max_size=n)
+    beams = [BeamVector(np.array([complex(*p) for p in draw(pairs)]))
+             for _ in range(l)]
+    return replace(base, beams=tuple(beams))
+
+
+class TestAgainstPerElementOracles:
+    @settings(deadline=None, max_examples=150)
+    @given(book=drawn_books())
+    def test_writer_bytes_match_the_per_element_writer(self, book):
+        text = codebook_json(book)
+        assert text == oracle_codebook_json(book)
+        loaded, _ = parse_codebook(text)
+        assert same_bits(loaded_weights(loaded), oracle_beams(json.loads(text)))
+
+    def test_writer_on_designed_and_narrowband_books(self, cfg16, small_designed):
+        for cb in (small_designed, narrowband_codebook(cfg16)):
+            assert codebook_json(cb) == oracle_codebook_json(cb)
+
+    @settings(deadline=None, max_examples=300)
+    @given(data=st.data())
+    def test_first_fault_matches_the_per_element_reader(self, small_designed, data):
+        base = data.draw(st.sampled_from([small_designed, zero_band_book(1, 2),
+                                          zero_band_book(3, 5)]))
+        n, l = len(base.beams[0].weights), len(base)
+        fault = st.tuples(st.integers(0, l - 1), st.integers(0, n - 1),
+                          st.integers(0, 1), st.sampled_from(sorted(CORRUPTIONS)))
+        pointer = assert_same_first_fault(base, data.draw(st.lists(fault, min_size=1, max_size=2)))
+        assert pointer.startswith("/beams/")
+
+    def test_earlier_row_wins_over_a_later_one(self, small_designed):
+        pointer = assert_same_first_fault(
+            small_designed, [(5, 3, 1, "string"), (2, 6, 0, "modulus")])
+        assert pointer == "/beams/2"
+
+
+def assert_same_first_fault(base, faults):
+    """Corrupt base's beams; both readers must name the same first fault,
+    and it must sit in the earliest corrupted row.  Returns its pointer."""
+    doc = doc_of(base)
+    for row, k, part, kind in faults:
+        CORRUPTIONS[kind](doc["beams"][row], k, part)
+    with pytest.raises(CodebookFormatError) as want:
+        oracle_beams(doc)
+    with pytest.raises(CodebookFormatError) as got:
+        parse_codebook(json.dumps(doc))
+    assert (got.value.pointer, str(got.value)) == (want.value.pointer, str(want.value))
+    assert got.value.pointer.split("/")[2] == str(min(row for row, *_ in faults))
+    return got.value.pointer
+
+
+def _set(value):
+    def corrupt(row, k, part):
+        if row:
+            row[k % len(row)][part] = value
+    return corrupt
+
+
+def _triple(row, k, part):
+    if row:
+        row[k % len(row)].append(0.0)
+
+
+def _short(row, k, part):
+    if row:
+        row.pop()
+
+
+def _off_modulus(row, k, part):
+    # modulus 1.06, off 1/sqrt(n) for every n
+    if row:
+        row[k % len(row)] = [0.75, 0.75]
+
+
+CORRUPTIONS = {
+    "true": _set(True),
+    "string": _set("x"),
+    "null": _set(None),
+    "nan": _set(float("nan")),
+    "infinity": _set(float("inf")),
+    "-infinity": _set(float("-inf")),
+    "huge integer": _set(HUGE),
+    "three-element pair": _triple,
+    "short row": _short,
+    "modulus": _off_modulus,
+}
 
 
 class TestPartitionReconstruction:
@@ -111,6 +320,11 @@ def _negative_delta(d):
     d["delta_omega"] = -0.1
 
 
+def _huge_n(d):
+    # no beam row can hold this many weights; sizing by it must not crash
+    d["config"]["n"] = 10 ** 20
+
+
 def _short_boundaries(d):
     d["boundaries_rad"].pop()
 
@@ -151,6 +365,18 @@ def _wrong_modulus(d):
     d["beams"][0][0] = [1.0, 0.0]
 
 
+def _huge_fc(d):
+    d["config"]["f_c_hz"] = HUGE
+
+
+def _huge_delta(d):
+    d["delta_omega"] = HUGE
+
+
+def _huge_weight(d):
+    d["beams"][1][0] = [-HUGE, 0.0]
+
+
 class TestParseErrors:
     @pytest.mark.parametrize("mutate, pointer", [
         (_bad_version, "/version"),
@@ -159,6 +385,7 @@ class TestParseErrors:
         (_band_too_wide, "/config/b_hz"),
         (_fractional_n, "/config/n"),
         (_zero_l, "/config/l"),
+        (_huge_n, "/beams/0"),
         (_negative_delta, "/delta_omega"),
         (_short_boundaries, "/boundaries_rad"),
         (_non_monotone, "/boundaries_rad"),
@@ -178,6 +405,19 @@ class TestParseErrors:
             parse_codebook(json.dumps(doc))
         assert err.value.pointer == pointer
         assert str(err.value).startswith(pointer)
+
+    @pytest.mark.parametrize("mutate, pointer", [
+        (_huge_fc, "/config/f_c_hz"),
+        (_huge_delta, "/delta_omega"),
+        (_huge_weight, "/beams/1/0/0"),
+    ])
+    def test_huge_integers_are_not_finite(self, small_designed, mutate, pointer):
+        doc = doc_of(small_designed)
+        mutate(doc)
+        with pytest.raises(CodebookFormatError) as err:
+            parse_codebook(json.dumps(doc))
+        assert err.value.pointer == pointer
+        assert str(err.value) == f"{pointer}: expected a finite number"
 
     def test_modulus_message_names_the_violation(self, small_designed):
         doc = doc_of(small_designed)
