@@ -1,12 +1,24 @@
 """Bit-stable file formats: codebook JSON and evaluation/sweep CSV.
 
 Floats are always written with 17 significant digits, enough to round-trip
-IEEE doubles exactly, so write -> read -> write is byte-identical.  The
-codebook writer fills one `%.17g` template per beam row, and the reader
-checks and stores one row at a time, so neither runs a Python loop per
-number.  Every number must be a finite JSON number that fits a double.  The
-reader validates structure before constructing anything and reports the
-JSON pointer of the first offending field in document order.
+IEEE doubles exactly, and the reader turns the `-0` that this writes for a
+negative zero back into -0.0, so write -> read -> write is byte-identical.
+
+The writer emits schema version 2.  Every book the library builds is one
+beam shifted to each zone center, so a book whose beams check out as
+beam 0 shifted by steering(c_l - c_0) to the partition's centers c_l, to
+MODULUS_TOL, is stored as `reference_beam` (beam 0, bit for bit) and
+`centers`; the reader rebuilds all L beams from them in one steering
+product.  Any other book keeps the `beams` rows of version 1.  Version 2
+also names the zone `intervals` mapping, which the reader of a version 1
+file has to guess from `delta_omega`.  Both versions are read; only version
+2 is written.
+
+Rows are written from one `%.17g` template and checked and stored one row
+at a time, so neither side runs a Python loop per weight.  Every number
+must be a finite JSON number that fits a double.  The reader validates
+structure before constructing anything and reports the JSON pointer of the
+first offending field in document order.
 """
 
 from __future__ import annotations
@@ -18,11 +30,11 @@ from itertools import chain
 
 import numpy as np
 
-from .array_model import MODULUS_TOL, BeamVector, SystemConfig
+from .array_model import MODULUS_TOL, BeamVector, SystemConfig, steering_composite
 from .codebook import Codebook
-from .zones import ZonePartition, virtual_interval
+from .zones import MAPPINGS, ZonePartition, zone_intervals
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class CodebookFormatError(ValueError):
@@ -37,6 +49,27 @@ def _f(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _pairs(weights: np.ndarray) -> str:
+    """`[re, im], ...` text of a weight vector; `%.17g` matches _f exactly."""
+    return ", ".join(["[%.17g, %.17g]"] * weights.size) % tuple(
+        weights.view(np.float64).tolist())
+
+
+def _shifted(reference: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Rows reference * steering(c_l - c_0); row 0 is reference bit for bit."""
+    rows = reference * steering_composite(reference.size, centers - centers[0])
+    rows[0] = reference  # a product with 1 + 0j can flip the sign of a zero
+    return rows
+
+
+def _reference_beam(cb: Codebook) -> np.ndarray | None:
+    """Beam 0 if every beam is beam 0 shifted between the partition's
+    centers, to MODULUS_TOL; None otherwise."""
+    weights = np.stack([w.weights for w in cb.beams])
+    derived = _shifted(weights[0], cb.partition.centers())
+    return weights[0] if np.abs(weights - derived).max() <= MODULUS_TOL else None
+
+
 def codebook_json(cb: Codebook) -> str:
     """Canonical JSON text for a codebook; fixed key order, LF line endings."""
     c = cb.provenance["config"]
@@ -48,15 +81,18 @@ def codebook_json(cb: Codebook) -> str:
         f'"n": {int(c["N"])}, "l": {int(c["L"])}}},',
         f'  "delta_omega": {_f(cb.partition.delta_omega)},',
         '  "boundaries_rad": [' + ", ".join(_f(b) for b in cb.partition.boundaries) + "],",
-        '  "beams": [',
+        f'  "intervals": "{cb.partition.mapping}",',
     ]
-    # `%.17g` gives the same text as format(x, ".17g") for every double
-    row = "    [" + ", ".join(["[%.17g, %.17g]"] * int(c["N"])) + "]"
-    lines.append(",\n".join([row % tuple(w.weights.view(np.float64).tolist())
-                              for w in cb.beams]))
+    reference = _reference_beam(cb)
+    if reference is not None:
+        lines.append(f'  "reference_beam": [{_pairs(reference)}],')
+        lines.append('  "centers": [' + ", ".join(_f(x) for x in cb.partition.centers()) + "]")
+    else:
+        lines.append('  "beams": [')
+        lines.append(",\n".join([f"    [{_pairs(w.weights)}]" for w in cb.beams]))
+        lines.append("  ]")
     # ending the last line with the newline lets one join build the text; a
     # trailing `+ "\n"` would copy all of it once more
-    lines.append("  ]")
     lines.append("}\n")
     return "\n".join(lines)
 
@@ -85,15 +121,13 @@ def _number(value, pointer: str) -> float:
 _NUMBER_TYPES = {float, int}  # exact types, so bools are rejected
 
 
-def _fill_row(row, n: int, out: np.ndarray) -> bool:
-    """Copy one `[[re, im], ...]` beam row into `out` (2n doubles).
+def _fill_row(row: list, n: int, out: np.ndarray) -> bool:
+    """Copy a list of n `[re, im]` pairs into `out` (2n doubles).
 
-    Returns False, with `out` unspecified, when any check fails: the row is
-    not a list of n pairs, a value is not a JSON number, or a value is not
+    Returns False, with `out` unspecified, when any check fails: a pair is
+    not a list of two, a value is not a JSON number, or a value is not
     finite as a double.  Every check runs at C speed over the whole row.
     """
-    if type(row) is not list or len(row) != n:
-        return False
     if set(map(type, row)) != {list} or set(map(len, row)) != {2}:
         return False
     flat = list(chain.from_iterable(row))
@@ -119,22 +153,60 @@ def _row_fault(row, n: int, pointer: str) -> None:
     raise CodebookFormatError(pointer, "malformed beam row")
 
 
+def _json_int(literal: str):
+    # `%.17g` writes -0.0 as `-0`; json would read that as the integer 0
+    return -0.0 if literal == "-0" else int(literal)
+
+
+def _weight_row(row, n: int, pointer: str) -> np.ndarray:
+    """One checked `[[re, im], ...]` row of n constant-modulus weights."""
+    # size the vector by n only once the row has been seen to hold n pairs
+    if not (isinstance(row, list) and len(row) == n):
+        _row_fault(row, n, pointer)
+    w = np.empty(n, dtype=complex)
+    if not _fill_row(row, n, w.view(np.float64)):
+        _row_fault(row, n, pointer)
+    dev = np.abs(np.abs(w) - 1.0 / np.sqrt(n)).max()
+    _require(dev <= MODULUS_TOL, pointer,
+             f"constant-modulus violation (max deviation {dev:.3e})")
+    return w
+
+
+def _center(value, pointer: str) -> float:
+    c = _number(value, pointer)
+    # composite values lie in (-2, 2); the pattern is 2-periodic anyway
+    _require(abs(c) <= 2.0, pointer, "must lie in [-2, 2]")
+    return c
+
+
+def _shifted_beams(doc: dict, n: int, l: int) -> np.ndarray:
+    """The (l, n) weights of a `reference_beam` + `centers` payload."""
+    _require("beams" not in doc, "/beams", "not allowed next to reference_beam")
+    reference = _weight_row(doc["reference_beam"], n, "/reference_beam")
+    centers_doc = doc.get("centers")
+    _require(isinstance(centers_doc, list), "/centers", "expected a list")
+    _require(len(centers_doc) == l, "/centers", f"expected {l} centers for l={l}")
+    centers = np.array([_center(v, f"/centers/{i}") for i, v in enumerate(centers_doc)])
+    return _shifted(reference, centers)
+
+
 def parse_codebook(text: str) -> tuple[Codebook, SystemConfig]:
     """Validate and reconstruct a codebook from JSON text.
 
     Raises CodebookFormatError with a JSON pointer on the first structural
-    problem.  The zone intervals are rebuilt from the stored boundaries:
-    with the stored bandwidth if that reproduces the stored width, with the
-    plain sine mapping otherwise (the narrowband file stores its zero-band
-    partition alongside a nonzero operating bandwidth).
+    problem.  The zone intervals are rebuilt from the stored boundaries
+    with the stored mapping.  A version 1 file names none: its mapping is
+    "banded" if the stored bandwidth reproduces the stored width, "sine"
+    otherwise (the narrowband file stores its zero-band partition
+    alongside a nonzero operating bandwidth).
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as e:
         raise CodebookFormatError("", f"not valid JSON: {e}") from e
     _require(isinstance(doc, dict), "", "top level must be an object")
-    _require(doc.get("version") == SCHEMA_VERSION, "/version",
-             f"expected {SCHEMA_VERSION}")
+    version = doc.get("version")
+    _require(version in (1, 2), "/version", "expected 1 or 2")
 
     conf = doc.get("config")
     _require(isinstance(conf, dict), "/config", "expected an object")
@@ -160,33 +232,28 @@ def parse_codebook(text: str) -> tuple[Codebook, SystemConfig]:
     _require(abs(bvals[0] + np.pi / 2) <= 1e-9 and abs(bvals[-1] - np.pi / 2) <= 1e-9,
              "/boundaries_rad", "must span [-pi/2, pi/2]")
 
-    beams_doc = doc.get("beams")
-    _require(isinstance(beams_doc, list), "/beams", "expected a list")
-    _require(len(beams_doc) == l, "/beams", f"expected {l} beams for l={l}")
-    # size the array by n only once a row has been seen to hold n pairs
-    if not (isinstance(beams_doc[0], list) and len(beams_doc[0]) == n):
-        _row_fault(beams_doc[0], n, "/beams/0")
-    weights = np.empty((l, n), dtype=complex)
-    values = weights.view(np.float64)
-    for i, row in enumerate(beams_doc):
-        if not _fill_row(row, n, values[i]):
-            _row_fault(row, n, f"/beams/{i}")
-        dev = np.abs(np.abs(weights[i]) - 1.0 / np.sqrt(n)).max()
-        _require(dev <= MODULUS_TOL, f"/beams/{i}",
-                 f"constant-modulus violation (max deviation {dev:.3e})")
+    mapping = None
+    if version == 2:
+        mapping = doc.get("intervals")
+        _require(mapping in MAPPINGS, "/intervals", 'expected "banded" or "sine"')
+
+    if version == 2 and "reference_beam" in doc:
+        weights = _shifted_beams(doc, n, l)
+    else:
+        beams_doc = doc.get("beams")
+        _require(isinstance(beams_doc, list), "/beams", "expected a list")
+        _require(len(beams_doc) == l, "/beams", f"expected {l} beams for l={l}")
+        weights = np.array([_weight_row(row, n, f"/beams/{i}")
+                            for i, row in enumerate(beams_doc)])
     beams = [BeamVector(w) for w in weights]
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # a stored L < N file is still readable
         cfg = SystemConfig(f_c=f_c, B=b, N=n, L=l)
-    banded = np.array([virtual_interval(cfg, bvals[i], bvals[i + 1])
-                       for i in range(l)])
-    if np.abs((banded[:, 1] - banded[:, 0]) - delta).max() <= 1e-9:
-        intervals = banded
-    else:
-        s = np.sin(bvals)
-        intervals = np.stack([s[:-1], s[1:]], axis=1)
-    partition = ZonePartition(boundaries=bvals, delta_omega=delta, intervals=intervals)
+    if mapping is None:
+        widths = np.diff(zone_intervals(cfg, bvals, "banded"), axis=1)[:, 0]
+        mapping = "banded" if np.abs(widths - delta).max() <= 1e-9 else "sine"
+    partition = ZonePartition(bvals, delta, zone_intervals(cfg, bvals, mapping), mapping)
     cb = Codebook.assemble(tuple(beams), partition, cfg, solver_cfg=None, kind="loaded")
     return cb, cfg
 

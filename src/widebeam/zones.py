@@ -16,15 +16,18 @@ import numpy as np
 from .array_model import SystemConfig
 
 CLOSURE_TOL = 1e-12  # |phi_L - pi/2| target for the bisection
+MAPPINGS = ("banded", "sine")  # how zone_intervals maps boundaries to intervals
 
 
 @dataclass(frozen=True)
 class ZonePartition:
-    """Boundary angles phi_0..phi_L, the common width, and per-zone intervals."""
+    """Boundary angles phi_0..phi_L, the common width, per-zone intervals,
+    and the mapping that built the intervals from the boundaries."""
 
     boundaries: np.ndarray          # shape (L+1,), radians, increasing
     delta_omega: float              # common virtual width, sine-space units
     intervals: np.ndarray           # shape (L, 2), (lower, upper) per zone
+    mapping: str                    # one of MAPPINGS
 
     def __post_init__(self):
         b = np.array(self.boundaries, dtype=float)
@@ -35,6 +38,8 @@ class ZonePartition:
             raise ValueError("boundaries must be strictly increasing")
         if iv.shape != (b.size - 1, 2):
             raise ValueError("intervals shape must be (L, 2)")
+        if self.mapping not in MAPPINGS:
+            raise ValueError(f"mapping must be one of {MAPPINGS}, got {self.mapping!r}")
         b.setflags(write=False)
         iv.setflags(write=False)
         object.__setattr__(self, "boundaries", b)
@@ -67,6 +72,19 @@ def virtual_interval(cfg: SystemConfig, phi_lo: float, phi_hi: float) -> tuple[f
     if phi_hi <= 0:
         return plus * s_lo, minus * s_hi
     return plus * s_lo, plus * s_hi
+
+
+def zone_intervals(cfg: SystemConfig, boundaries: np.ndarray, mapping: str) -> np.ndarray:
+    """(lower, upper) interval of every zone, shape (L, 2).
+
+    "banded" takes each zone's image over cfg's band (virtual_interval);
+    "sine" takes the sines of its edges, the image at a single frequency.
+    The narrowband codebook pairs a "sine" partition with a nonzero band.
+    """
+    if mapping == "sine":
+        return np.stack([np.sin(boundaries[:-1]), np.sin(boundaries[1:])], axis=1)
+    return np.array([virtual_interval(cfg, boundaries[l], boundaries[l + 1])
+                     for l in range(boundaries.size - 1)])
 
 
 def next_boundary(cfg: SystemConfig, phi_prev: float, delta_omega: float) -> float:
@@ -126,8 +144,8 @@ def divide_zones(cfg: SystemConfig) -> ZonePartition:
         delta = 2.0 / L
         boundaries = np.arcsin(-1.0 + 2.0 * np.arange(L + 1) / L)
         boundaries[0], boundaries[-1] = -np.pi / 2, np.pi / 2
-        intervals = np.stack([np.sin(boundaries[:-1]), np.sin(boundaries[1:])], axis=1)
-        return ZonePartition(boundaries, delta, intervals)
+        return ZonePartition(boundaries, delta, zone_intervals(cfg, boundaries, "sine"),
+                             "sine")
 
     ratio_lo = (cfg.f_c - cfg.B / 2) / (cfg.f_c + cfg.B / 2)
     lo = (2.0 / L) * ratio_lo
@@ -162,10 +180,8 @@ def divide_zones(cfg: SystemConfig) -> ZonePartition:
                                 -np.pi / 2, np.pi / 2)
     boundaries[-1] = np.pi / 2
 
-    intervals = np.array(
-        [virtual_interval(cfg, boundaries[l], boundaries[l + 1]) for l in range(L)]
-    )
-    return ZonePartition(boundaries, float(delta), intervals)
+    return ZonePartition(boundaries, float(delta),
+                         zone_intervals(cfg, boundaries, "banded"), "banded")
 
 
 def prop3_upper_bound(partition: ZonePartition) -> float:

@@ -12,6 +12,9 @@ import pytest
 import widebeam
 from widebeam import cli
 from widebeam.cli import ConfigError, _parse_range, load_config, main
+from widebeam.storage import read_codebook
+
+from test_storage import oracle_codebook_json
 
 
 def stdout_value(out: str, key: str) -> float:
@@ -197,7 +200,8 @@ class TestFailureModes:
     def test_huge_integer_weight_is_a_config_error(self, small_config, tmp_path, capsys):
         book = tmp_path / "cb.json"
         assert main(["baseline", small_config, "--out", str(book)]) == 0
-        doc = json.loads(book.read_text(encoding="utf-8"))
+        # the same book as a version 1 file, which stores every beam as a row
+        doc = json.loads(oracle_codebook_json(read_codebook(book)[0]))
         doc["beams"][2][1][0] = 10 ** 400
         book.write_text(json.dumps(doc), encoding="utf-8")
         capsys.readouterr()

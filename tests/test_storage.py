@@ -1,16 +1,22 @@
 """File formats: canonical codebook JSON and the two CSV writers."""
 
 import json
+import logging
 import math
 from dataclasses import replace
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from widebeam import SystemConfig, build_codebook, evaluate, narrowband_codebook
+from widebeam import (Codebook, SystemConfig, build_codebook, evaluate,
+                      narrowband_codebook, shift_beam)
+from widebeam.alm import SolverConfig, solve
 from widebeam.array_model import MODULUS_TOL, BeamVector
+from widebeam.cli import main
+from widebeam.prv import prv_beam, prv_plan
 from widebeam.storage import (
     CodebookFormatError,
     codebook_json,
@@ -20,6 +26,9 @@ from widebeam.storage import (
     write_eval_csv,
     write_sweep_csv,
 )
+from widebeam.zones import divide_zones
+
+from test_codebook import random_cm_beam
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +36,15 @@ def small_designed():
     return build_codebook(SystemConfig(f_c=140e9, B=10e9, N=8, L=16))
 
 
+DATA = Path(__file__).resolve().parent / "data"
+
+
 def doc_of(cb):
+    """The version 1 document of a book: every beam as a row."""
+    return json.loads(oracle_codebook_json(cb))
+
+
+def v2_doc_of(cb):
     return json.loads(codebook_json(cb))
 
 
@@ -36,7 +53,8 @@ HUGE = 10 ** 400
 
 
 def oracle_codebook_json(cb):
-    """The per-element writer the templated one replaced, kept as reference."""
+    """The per-element version 1 writer, kept as reference and as the
+    source of version 1 text now that the library writes version 2."""
     def f(x):
         return format(float(x), ".17g")
 
@@ -117,12 +135,22 @@ class TestRoundTrip:
 
     def test_seventeen_digits_reproduce_every_double(self, cfg16, small_designed):
         for cb in (narrowband_codebook(cfg16), small_designed):
-            loaded, _ = parse_codebook(codebook_json(cb))
+            loaded, _ = parse_codebook(oracle_codebook_json(cb))
             assert np.array_equal(loaded.partition.boundaries,
                                   cb.partition.boundaries)
             assert loaded.partition.delta_omega == cb.partition.delta_omega
             for wa, wb in zip(loaded.beams, cb.beams):
                 assert np.array_equal(wa.weights, wb.weights)
+
+    def test_shifted_beams_come_back_within_tolerance(self, cfg16, small_designed):
+        for cb in (narrowband_codebook(cfg16), small_designed):
+            loaded, _ = parse_codebook(codebook_json(cb))
+            assert np.array_equal(loaded.partition.boundaries,
+                                  cb.partition.boundaries)
+            assert same_bits(loaded.partition.intervals, cb.partition.intervals)
+            assert loaded.partition.mapping == cb.partition.mapping
+            assert same_bits(loaded.beams[0].weights, cb.beams[0].weights)
+            assert np.abs(loaded_weights(loaded) - loaded_weights(cb)).max() <= 1e-12
 
     def test_file_round_trip(self, tmp_path, small_designed):
         path = tmp_path / "cb.json"
@@ -136,21 +164,53 @@ class TestRoundTrip:
 
     def test_loaded_codebook_evaluates_identically(self, small_designed):
         cfg = SystemConfig(f_c=140e9, B=10e9, N=8, L=16)
-        loaded, cfg2 = parse_codebook(codebook_json(small_designed))
+        loaded, cfg2 = parse_codebook(oracle_codebook_json(small_designed))
         a = evaluate(cfg, small_designed)
         b = evaluate(cfg2, loaded)
         assert np.array_equal(a.gains, b.gains)
         assert a.worst_case == b.worst_case
+
+    def test_shifted_book_evaluates_within_rounding(self, small_designed):
+        cfg = SystemConfig(f_c=140e9, B=10e9, N=8, L=16)
+        loaded, cfg2 = parse_codebook(codebook_json(small_designed))
+        a = evaluate(cfg, small_designed)
+        b = evaluate(cfg2, loaded)
+        assert np.allclose(b.gains, a.gains, rtol=1e-12, atol=0)
+        assert np.allclose(b.per_zone, a.per_zone, rtol=1e-12, atol=0)
 
     def test_single_antenna_zero_band_book(self):
         # N=1 weights are exactly 1 + 0j, which 17 significant digits write
         # as the JSON integers 1 and 0
         book = narrowband_codebook(SystemConfig(f_c=140e9, B=0.0, N=1, L=2))
         text = codebook_json(book)
-        assert "    [[1, 0]],\n    [[1, 0]]\n" in text
+        assert '  "reference_beam": [[1, 0]],\n' in text
         again, cfg = parse_codebook(text)
         assert (cfg.N, cfg.L, cfg.B) == (1, 2, 0.0)
         assert codebook_json(again) == text
+
+    @pytest.mark.parametrize("second, payload", [
+        (complex(1.0, -0.0), '  "reference_beam": [[1, -0]],\n'),
+        (complex(-0.0, -1.0), '    [[1, -0]],\n    [[-0, -1]]\n'),
+    ])
+    def test_signed_zeros_survive(self, second, payload):
+        # `%.17g` writes -0.0 as `-0`, which plain json.loads reads as the
+        # integer 0; both payloads must hand back the negative zero
+        base = narrowband_codebook(SystemConfig(f_c=140e9, B=0.0, N=1, L=2))
+        first = BeamVector(np.array([complex(1.0, -0.0)]))
+        book = replace(base, beams=(first, BeamVector(np.array([second]))))
+        text = codebook_json(book)
+        assert payload in text
+        loaded, _ = parse_codebook(text)
+        assert same_bits(loaded.beams[0].weights, first.weights)
+        if "beams" in v2_doc_of(book):
+            assert same_bits(loaded_weights(loaded), loaded_weights(book))
+        assert codebook_json(loaded) == text
+
+    def test_negative_zero_is_not_an_integer(self, small_designed):
+        text = codebook_json(small_designed).replace('"n": 8', '"n": -0')
+        with pytest.raises(CodebookFormatError) as err:
+            parse_codebook(text)
+        assert str(err.value) == "/config/n: expected integer >= 1"
 
     def test_rewriting_the_same_book_is_stable(self, tmp_path, small_designed):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -193,18 +253,35 @@ def drawn_books(draw):
     return replace(base, beams=tuple(beams))
 
 
+ROWS = '\n  "beams": [\n'
+
+
 class TestAgainstPerElementOracles:
+    @settings(deadline=None, max_examples=150)
+    @given(book=drawn_books())
+    def test_version1_rows_read_back_bit_for_bit(self, book):
+        loaded, _ = parse_codebook(oracle_codebook_json(book))
+        assert same_bits(loaded_weights(loaded), loaded_weights(book))
+
     @settings(deadline=None, max_examples=150)
     @given(book=drawn_books())
     def test_writer_bytes_match_the_per_element_writer(self, book):
         text = codebook_json(book)
-        assert text == oracle_codebook_json(book)
         loaded, _ = parse_codebook(text)
-        assert same_bits(loaded_weights(loaded), oracle_beams(json.loads(text)))
+        assert codebook_json(loaded) == text
+        if ROWS in text:
+            assert text.split(ROWS)[1] == oracle_codebook_json(book).split(ROWS)[1]
+            assert same_bits(loaded_weights(loaded), loaded_weights(book))
+        else:
+            # an N=1 book of beams equal to MODULUS_TOL is one beam shifted
+            # to every center
+            assert np.abs(loaded_weights(loaded) - loaded_weights(book)).max() <= MODULUS_TOL
 
     def test_writer_on_designed_and_narrowband_books(self, cfg16, small_designed):
+        # a version 1 file of a built book rewrites as that book's version 2 text
         for cb in (small_designed, narrowband_codebook(cfg16)):
-            assert codebook_json(cb) == oracle_codebook_json(cb)
+            loaded, _ = parse_codebook(oracle_codebook_json(cb))
+            assert codebook_json(loaded) == codebook_json(cb)
 
     @settings(deadline=None, max_examples=300)
     @given(data=st.data())
@@ -291,13 +368,21 @@ class TestPartitionReconstruction:
         assert np.allclose(loaded.partition.intervals[:, 1], s[1:], atol=1e-15)
         assert loaded.partition.delta_omega == book.partition.delta_omega
 
+    def test_version1_files_infer_the_mapping(self, cfg16, small_designed):
+        # version 1 names no mapping: the stored width tells banded from sine
+        for book in (small_designed, narrowband_codebook(cfg16)):
+            assert '"intervals"' not in oracle_codebook_json(book)
+            loaded, _ = parse_codebook(oracle_codebook_json(book))
+            assert loaded.partition.mapping == book.partition.mapping
+            assert same_bits(loaded.partition.intervals, book.partition.intervals)
+
 
 def _drop_config(d):
     del d["config"]
 
 
 def _bad_version(d):
-    d["version"] = 2
+    d["version"] = 3
 
 
 def _bad_fc(d):
@@ -435,6 +520,197 @@ class TestParseErrors:
         with pytest.raises(CodebookFormatError) as err:
             parse_codebook("[]")
         assert err.value.pointer == ""
+
+
+def _unknown_intervals(d):
+    d["intervals"] = "cosine"
+
+
+def _no_intervals(d):
+    del d["intervals"]
+
+
+def _reference_not_a_list(d):
+    d["reference_beam"] = 0.5
+
+
+def _short_reference(d):
+    d["reference_beam"].pop()
+
+
+def _reference_lonely_pair(d):
+    d["reference_beam"][2] = [1.0]
+
+
+def _reference_string_imag(d):
+    d["reference_beam"][2] = [0.9, "x"]
+
+
+def _reference_huge_real(d):
+    d["reference_beam"][0] = [HUGE, 0.0]
+
+
+def _reference_modulus(d):
+    d["reference_beam"][0] = [1.0, 0.0]
+
+
+def _both_payloads(d):
+    d["beams"] = []
+
+
+def _no_centers(d):
+    del d["centers"]
+
+
+def _short_centers(d):
+    d["centers"].pop()
+
+
+def _string_center(d):
+    d["centers"][3] = "x"
+
+
+def _infinite_center(d):
+    d["centers"][1] = float("inf")
+
+
+def _far_center(d):
+    d["centers"][2] = 5.0
+
+
+class TestVersion2ParseErrors:
+    @pytest.mark.parametrize("mutate, error", [
+        (_unknown_intervals, '/intervals: expected "banded" or "sine"'),
+        (_no_intervals, '/intervals: expected "banded" or "sine"'),
+        (_reference_not_a_list, "/reference_beam: expected a list"),
+        (_short_reference, "/reference_beam: expected 8 weights for n=8"),
+        (_reference_lonely_pair, "/reference_beam/2: expected an [re, im] pair"),
+        (_reference_string_imag, "/reference_beam/2/1: expected a number"),
+        (_reference_huge_real, "/reference_beam/0/0: expected a finite number"),
+        (_reference_modulus, "/reference_beam: constant-modulus violation"),
+        (_both_payloads, "/beams: not allowed next to reference_beam"),
+        (_no_centers, "/centers: expected a list"),
+        (_short_centers, "/centers: expected 16 centers for l=16"),
+        (_string_center, "/centers/3: expected a number"),
+        (_infinite_center, "/centers/1: expected a finite number"),
+        (_far_center, "/centers/2: must lie in [-2, 2]"),
+    ])
+    def test_pointer_and_message(self, small_designed, mutate, error):
+        doc = v2_doc_of(small_designed)
+        mutate(doc)
+        with pytest.raises(CodebookFormatError) as err:
+            parse_codebook(json.dumps(doc))
+        assert str(err.value).startswith(error)
+        assert err.value.pointer == error.split(":")[0]
+
+    def test_rows_payload_faults_keep_their_pointers(self, small_designed):
+        doc = v2_doc_of(replace(small_designed, beams=tuple(
+            random_cm_beam(8, seed=i) for i in range(16))))
+        assert "reference_beam" not in doc
+        _infinite_real(doc)
+        with pytest.raises(CodebookFormatError) as err:
+            parse_codebook(json.dumps(doc))
+        assert str(err.value) == "/beams/1/0/0: expected a finite number"
+
+
+@lru_cache(maxsize=None)
+def partition_of(l, mapping):
+    b = 10e9 if mapping == "banded" else 0.0
+    part = divide_zones(SystemConfig(f_c=140e9, B=b, N=1, L=l))
+    assert part.mapping == mapping
+    return part
+
+
+class TestShiftPayload:
+    @settings(deadline=None, max_examples=60)
+    @given(n=st.integers(1, 64), extra=st.integers(0, 16),
+           mapping=st.sampled_from(["banded", "sine"]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_shifted_prototypes_write_the_compact_payload(self, n, extra, mapping, seed):
+        l = n + extra
+        partition = partition_of(l, mapping)
+        cfg = SystemConfig(f_c=140e9, B=10e9, N=n, L=l)
+        proto = random_cm_beam(n, seed=seed)
+        book = Codebook.assemble([shift_beam(proto, c) for c in partition.centers()],
+                                 partition, cfg, None, kind="wideband")
+        text = codebook_json(book)
+        doc = json.loads(text)
+        assert "beams" not in doc and len(doc["reference_beam"]) == n
+        assert doc["intervals"] == mapping
+        loaded, _ = parse_codebook(text)
+        assert codebook_json(loaded) == text
+        assert same_bits(loaded.partition.intervals, partition.intervals)
+        assert np.abs(loaded_weights(loaded) - loaded_weights(book)).max() <= 1e-12
+
+    def test_random_beams_fall_back_to_rows(self, small_designed):
+        book = replace(small_designed,
+                       beams=tuple(random_cm_beam(8, seed=i) for i in range(16)))
+        text = codebook_json(book)
+        doc = json.loads(text)
+        assert "reference_beam" not in doc and len(doc["beams"]) == 16
+        loaded, _ = parse_codebook(text)
+        assert same_bits(loaded_weights(loaded), loaded_weights(book))
+        assert codebook_json(loaded) == text
+
+    def test_assembled_shifts_write_the_built_book(self):
+        # build_codebook's stages, one at a time, as a traced run calls them
+        cfg = SystemConfig(f_c=140e9, B=10e9, N=16, L=32)
+        partition = divide_zones(cfg)
+        init = prv_beam(prv_plan(cfg.N, partition.delta_omega))
+        proto, _ = solve(cfg, SolverConfig(), partition.delta_omega, init)
+        assembled = Codebook.assemble(
+            [shift_beam(proto, c) for c in partition.centers()],
+            partition, cfg, SolverConfig(), kind="wideband")
+        assert codebook_json(assembled) == codebook_json(build_codebook(cfg))
+
+    def test_version2_narrowband_file_takes_the_matched_path(self, cfg16, caplog):
+        loaded, cfg = parse_codebook(codebook_json(narrowband_codebook(cfg16)))
+        with caplog.at_level(logging.DEBUG, logger="widebeam.codebook"):
+            evaluate(cfg, loaded)
+        assert any(r.getMessage().startswith("matched path") for r in caplog.records)
+
+
+class TestVersion1Fixtures:
+    """Files written by the version 1 writer (`widebeam design` and
+    `widebeam baseline` at N=8, L=16, B=10 GHz) and their `eval --csv`."""
+
+    CFG = SystemConfig(f_c=140e9, B=10e9, N=8, L=16)
+
+    @pytest.mark.parametrize("name, build", [
+        ("designed_v1", build_codebook), ("baseline_v1", narrowband_codebook)])
+    def test_loaded_book_is_the_in_memory_book(self, name, build):
+        book = build(self.CFG)
+        loaded, cfg = read_codebook(DATA / f"{name}.json")
+        assert (cfg.f_c, cfg.B, cfg.N, cfg.L) == (140e9, 10e9, 8, 16)
+        assert same_bits(loaded_weights(loaded), loaded_weights(book))
+        assert same_bits(loaded.partition.boundaries, book.partition.boundaries)
+        assert same_bits(loaded.partition.intervals, book.partition.intervals)
+        assert loaded.partition.mapping == book.partition.mapping
+        assert codebook_json(loaded) == codebook_json(book)
+
+    @pytest.mark.parametrize("name", ["designed_v1", "baseline_v1"])
+    def test_eval_csv_is_unchanged(self, name, tmp_path, capsys):
+        csv = tmp_path / "eval.csv"
+        assert main(["eval", str(DATA / f"{name}.json"), "--csv", str(csv)]) == 0
+        capsys.readouterr()
+        assert csv.read_bytes() == (DATA / f"{name}_eval.csv").read_bytes()
+
+    def test_version2_rewrites_evaluate_like_version1(self, tmp_path, capsys):
+        for name in ("designed_v1", "baseline_v1"):
+            v2 = tmp_path / f"{name}.v2.json"
+            write_codebook(v2, read_codebook(DATA / f"{name}.json")[0])
+            csv = tmp_path / f"{name}.csv"
+            assert main(["eval", str(v2), "--csv", str(csv)]) == 0
+            capsys.readouterr()
+            got = np.loadtxt(csv, delimiter=",", skiprows=1)
+            want = np.loadtxt(DATA / f"{name}_eval.csv", delimiter=",", skiprows=1)
+            if name == "baseline_v1":
+                # the matched path reads centers, not weights
+                assert csv.read_bytes() == (DATA / f"{name}_eval.csv").read_bytes()
+            assert np.array_equal(got[:, 0], want[:, 0])
+            assert np.allclose(got[:, 1], want[:, 1], rtol=1e-12, atol=0)
+            # a different winner is a tie to rounding
+            differ = got[:, 2] != want[:, 2]
+            assert np.allclose(got[differ, 1], want[differ, 1], rtol=1e-12, atol=0)
 
 
 class TestCsv:

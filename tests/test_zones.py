@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from widebeam import SystemConfig, divide_zones, prop3_upper_bound
-from widebeam.zones import next_boundary, virtual_interval
+from widebeam.zones import ZonePartition, next_boundary, virtual_interval, zone_intervals
 
 # frozen by running the bisection once and keeping 15 digits; the L=1 value
 # has a closed form 2*(1 + B/(2*f_c)) = 2.0714285714285716
@@ -131,3 +131,14 @@ def test_wider_band_needs_wider_zones():
             > divide_zones(make(200, 10e9)).delta_omega
             > divide_zones(make(200, 2e9)).delta_omega
             > divide_zones(make(200, 0.0)).delta_omega)
+
+
+def test_partition_names_its_interval_mapping():
+    banded, sine = divide_zones(make(16)), divide_zones(make(16, B=0.0))
+    assert (banded.mapping, sine.mapping) == ("banded", "sine")
+    assert np.array_equal(banded.intervals,
+                          zone_intervals(make(16), banded.boundaries, "banded"))
+    assert np.array_equal(sine.intervals,
+                          zone_intervals(make(16), sine.boundaries, "sine"))
+    with pytest.raises(ValueError, match="mapping"):
+        ZonePartition(banded.boundaries, banded.delta_omega, banded.intervals, "cosine")
