@@ -78,7 +78,7 @@ class BeamVector:
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a non-empty 1-D complex vector")
         dev = np.abs(np.abs(w) - 1.0 / np.sqrt(w.size)).max()
-        if dev > MODULUS_TOL:
+        if not dev <= MODULUS_TOL:      # a NaN weight fails this test too
             raise ValueError(
                 f"constant-modulus violation: max deviation {dev:.3e} from 1/sqrt(N)"
             )

@@ -10,11 +10,13 @@ that another beam attains can neither win nor tie, and is never swept
 over the full band.  For codebooks made of plain response vectors the
 sweep collapses to Dirichlet-kernel lookups over the candidate beams near
 each angle (an envelope bound certifies that the beams outside that
-radius cannot change the outcome); each candidate is bounded by the
-kernel at four of its frequency samples, and only candidates whose bound
-reaches the best minimum found so far get the full sampled minimum.  Any
-other codebook goes through the general sweep, which bounds every beam by
-its minimum over three probe frequencies.
+radius cannot change the outcome).  Each angle is seeded with its home
+beam's minimum; every other candidate is bounded first in closed form by
+the kernel's sidelobe envelope, with no kernel call, then by the kernel
+at two of its frequency samples, and only candidates whose bound reaches
+the best minimum found so far get the full sampled minimum.  Any other
+codebook goes through the general sweep, which bounds every beam by its
+minimum over three probe frequencies.
 """
 
 from __future__ import annotations
@@ -154,29 +156,23 @@ def _cut_range(n: int, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.n
     return m_lo, m_hi, int(np.max(m_hi - m_lo + 1, initial=0))
 
 
-def _window_samples(n: int, lo: np.ndarray, hi: np.ndarray, n_samp: int,
-                    m_lo: np.ndarray, m_hi: np.ndarray, ncut: int) -> np.ndarray:
-    """The samples of [lo, hi] that _windowed_min looks at, on a new first axis.
+def _cut_samples(n: int, lo: np.ndarray, h: np.ndarray, m: np.ndarray,
+                 n_samp: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two samples lo + i*h, lo + (i+1)*h either side of the cut point
+    2m/n, clipped to the window's n_samp samples."""
+    t = 2.0 * m / n
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        idx = np.floor((t - lo) / h)
+    idx = np.where(np.isfinite(idx), idx, 0.0)
+    x = lo + np.clip(idx, 0, n_samp - 2).astype(np.int64) * h
+    return x, x + h
 
-    Both window ends, then for each of ncut slots the two samples either
-    side of the cut point 2(m_lo + slot)/n.  A slot past m_hi holds the
-    first two samples instead, so every entry is a sample of the window.
-    """
-    h = (hi - lo) / (n_samp - 1)
-    out = np.empty((2 + 2 * ncut,) + lo.shape)
-    out[0] = lo
-    out[1] = hi
-    for slot in range(ncut):
-        m = m_lo + slot
-        t = 2.0 * m / n
-        with np.errstate(divide="ignore", invalid="ignore"):
-            idx = np.floor((t - lo) / h)
-        idx = np.where(np.isfinite(idx), idx, 0.0)
-        idx = np.clip(idx, 0, n_samp - 2).astype(np.int64)
-        idx = np.where(m <= m_hi, idx, 0)
-        np.add(lo, idx * h, out=out[2 + 2 * slot])
-        np.add(out[2 + 2 * slot], h, out=out[3 + 2 * slot])
-    return out
+
+def _first_null(n: int, m_lo: np.ndarray, m_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first cut of each window that is a null, skipping a peak cut
+    (m a multiple of n) at m_lo, and whether the window holds it."""
+    m = m_lo + (m_lo % n == 0)
+    return m, (m <= m_hi) & (n > 1)
 
 
 def _windowed_min(n: int, lo: np.ndarray, hi: np.ndarray, n_samp: int,
@@ -186,18 +182,75 @@ def _windowed_min(n: int, lo: np.ndarray, hi: np.ndarray, n_samp: int,
     Exact, but far cheaper than evaluating every sample: the pattern is
     unimodal between consecutive multiples of 2/n (its nulls and peaks),
     so the sampled minimum is attained at a window end or at a sample
-    adjacent to one of those cut points.  Only the candidate samples are
-    evaluated, a handful per window instead of n_samp.  Every window gets
-    ncut cut slots, by default as many as the most crowded window needs;
-    a caller that evaluates part of a batch passes the batch's count, so
-    each window is evaluated on the same samples as in the whole batch.
+    adjacent to one of those cut points.  Only those samples are
+    evaluated, a handful per window instead of n_samp.  A window with
+    fewer cut points than ncut (by default the most any window of the
+    batch holds) also looks at its second sample lo + h, as a batch that
+    pads every window to ncut cut slots would; a caller that evaluates
+    part of a batch passes the batch's count, so each window is evaluated
+    on the same samples as in the whole batch.
     """
     if n_samp <= 1:
         return dirichlet_power(lo, n)
+    shape = np.shape(lo)
+    lo = np.ravel(lo)
+    hi = np.ravel(hi)
     m_lo, m_hi, most = _cut_range(n, lo, hi)
     if ncut is None:
         ncut = most
-    return dirichlet_power(_window_samples(n, lo, hi, n_samp, m_lo, m_hi, ncut), n).min(axis=0)
+    h = (hi - lo) / (n_samp - 1)
+    count = np.maximum(m_hi - m_lo + 1, 0)
+    pad = np.flatnonzero(count < ncut)
+    # the cut slots of all windows, window by window
+    first = np.cumsum(count) - count
+    w = np.repeat(np.arange(lo.size), count)
+    x1, x2 = _cut_samples(n, lo[w], h[w], m_lo[w] + (np.arange(w.size) - first[w]), n_samp)
+    v = dirichlet_power(np.concatenate([lo, hi, lo[pad] + h[pad], x1, x2]), n)
+    out = np.minimum(v[:lo.size], v[lo.size:2 * lo.size])
+    v = v[2 * lo.size:]
+    out[pad] = np.minimum(out[pad], v[:pad.size])
+    v = v[pad.size:]
+    has = np.flatnonzero(count)
+    if has.size:
+        cut = np.minimum(v[:w.size], v[w.size:])
+        out[has] = np.minimum(out[has], np.minimum.reduceat(cut, first[has]))
+    return out.reshape(shape)
+
+
+def _envelope_bound(n: int, lo: np.ndarray, hi: np.ndarray, h: np.ndarray,
+                    m_lo: np.ndarray, m_hi: np.ndarray) -> np.ndarray:
+    """Upper bound on the sampled minimum of dirichlet_power/n over [lo, hi],
+    with no kernel call.
+
+    h is the sample step; m_lo and m_hi are the window's cut range
+    (_cut_range).  The pattern never exceeds n and lies under the sidelobe
+    envelope 1/(n sin^2(pi d/2)), d the distance to the nearest peak (an
+    even integer), so the capped envelope at the window's own distance d
+    bounds every sample.  When the window holds a null cut, the sample
+    nearest that null lies within h/2 of it, where sin^2(n pi u/2) is at
+    most (n pi h/4)^2; that sample, hence the minimum, is at most the
+    capped envelope times the residue factor min(1, (n pi h/4)^2).  The
+    1e-8 added inside the square covers the 1e-9 cut slack and rounding.
+    The bound holds up to rounding far below PROBE_TOL*max(bound, 1).
+    """
+    peak = 2.0 * np.floor(hi / 2.0)         # the last peak at or below hi
+    d = np.maximum(np.minimum(lo - peak, peak + 2.0 - hi), 0.0)
+    bound = n / np.maximum(1.0, n * n * np.sin(np.pi / 2.0 * d) ** 2)
+    residue = np.minimum(1.0, (n * np.pi / 4.0 * h + 1e-8) ** 2)
+    return np.where(_first_null(n, m_lo, m_hi)[1], bound * residue, bound)
+
+
+def _two_sample_bound(n: int, lo: np.ndarray, hi: np.ndarray, n_samp: int,
+                      m_lo: np.ndarray, m_hi: np.ndarray) -> np.ndarray:
+    """dirichlet_power at two samples of [lo, hi] that _windowed_min also
+    evaluates, the smaller of the two: either side of the first null cut,
+    or both window ends when the window holds no null.  The same floats,
+    so never below _windowed_min, and at a null's neighbours often close
+    to it."""
+    m, null = _first_null(n, m_lo, m_hi)
+    x1, x2 = _cut_samples(n, lo, (hi - lo) / (n_samp - 1), m, n_samp)
+    v = dirichlet_power(np.concatenate([np.where(null, x1, lo), np.where(null, x2, hi)]), n)
+    return np.minimum(v[:lo.size], v[lo.size:])
 
 
 def _matched_codebook_sweep(n: int, centers: np.ndarray, sines: np.ndarray,
@@ -219,59 +272,102 @@ def _matched_codebook_sweep(n: int, centers: np.ndarray, sines: np.ndarray,
       beam's sampled band minimum is then at most a slope-bounded
       residue at the sample nearest that null.
 
-    Within the radius, candidates are branch-and-bound pruned.  The kernel
-    at any frequency sample bounds the sampled band minimum from above, so
-    the kernel at both window ends and at the two samples either side of
-    the first cut point in the window gives a bound U per (angle,
-    candidate) pair.  Each angle visits its candidates in decreasing U
-    and takes the full sampled minimum (_windowed_min) only while U is at
-    least the best minimum found so far, less PROBE_TOL*max(best, 1).
-    This is exact: a skipped candidate's minimum is at most its U, below a
-    minimum another candidate attains, so it can neither win nor tie.  The
-    tolerance covers the rounding between the bound and the minimum.  The
-    argmax then runs in offset order over the evaluated pairs, each on the
+    Within the radius, candidates are branch-and-bound pruned.  Any upper
+    bound on a pair's sampled band minimum that lies below best - PROBE_TOL
+    * max(best, 1), best being a minimum another candidate attains, rules
+    the pair out: it can neither win nor tie.  The tolerance covers the
+    rounding between a bound and the minimum.  Each angle's best starts at
+    its home beam's (offset 0) full minimum; every other (angle, candidate)
+    pair then meets at most three tiers:
+
+    0. the analytic bound of _envelope_bound, with no kernel call;
+    1. for its survivors, _two_sample_bound, two kernel samples;
+    2. for theirs, visited per angle in decreasing tier-1 bound while that
+       bound still reaches best, the full sampled minimum (_windowed_min).
+
+    When the radius doubles, the inner pairs keep their minima and best,
+    and only the new offsets are bounded.  If the wider batch holds more
+    cut points per window (ncut), the kept minima lack the pad sample
+    _windowed_min now adds, so the sweep starts over at the new radius.
+    The argmax runs in offset order over the evaluated pairs, each on the
     samples the unpruned batch would use, so gains and winners are those
     of evaluating every candidate.
     """
     L = centers.size
     F = scale.size
+    A = sines.size
     spacing = 2.0 / L
     b2 = float(scale[-1] - 1.0)
     p0 = scale[0] * sines
     p1 = scale[-1] * sines
     win_lo = np.minimum(p0, p1)
     win_hi = np.maximum(p0, p1)
-    rows = np.arange(sines.size)
     j0 = np.clip(np.floor((sines + 1.0) / spacing).astype(int), 0, L - 1)
     radius = int(np.ceil((b2 + 2.0 / n + 1.0 / L) / spacing)) + 1
-    swept = pairs = 0
+    h = (win_hi - win_lo) / (F - 1)
+    ring = np.tile(centers, 3)              # centers[(j0 + offset) % L] at L + j0 + offset
+    offsets = np.zeros(0, dtype=int)        # the offsets whose pairs are done
+    g = np.zeros((A, 0))                    # their minima, -inf where pruned
+    best = np.full(A, -np.inf)
+    ncut = 0
+    swept = pairs = pruned = bounded = reused = 0
     while True:
-        offsets = np.arange(L) if 2 * radius + 1 >= L else np.arange(-radius, radius + 1)
-        j = (j0[:, None] + offsets[None, :]) % L
-        c = centers[j]
+        batch = np.arange(L) if 2 * radius + 1 >= L else np.arange(-radius, radius + 1)
+        slot = np.empty(L, dtype=int)
+        slot[batch % L] = np.arange(batch.size)
+        kept = slot[offsets % L]
+        fresh = np.ones(batch.size, dtype=bool)
+        fresh[kept] = False
+        cols = np.flatnonzero(fresh)
+        c = ring[L + j0[:, None] + batch[cols]]
         lo = c - win_hi[:, None]
         hi = c - win_lo[:, None]
-        m_lo, m_hi, ncut = _cut_range(n, lo, hi)
-        # one sample plane at a time keeps the kernel's temporaries small
-        bound = np.full(j.shape, np.inf)
-        for x in _window_samples(n, lo, hi, F, m_lo, m_hi, 1):
-            np.minimum(bound, dirichlet_power(x, n) / n, out=bound)
-        order = np.argsort(-bound, axis=1, kind="stable")
-        bound = np.take_along_axis(bound, order, axis=1)
-        g = np.full(j.shape, -np.inf)
-        best = np.full(sines.size, -np.inf)
-        for k in range(offsets.size):
-            act = np.flatnonzero(bound[:, k] >= best - PROBE_TOL * np.maximum(best, 1.0))
-            if act.size == 0:
-                break
-            col = order[act, k]
-            v = _windowed_min(n, lo[act, col], hi[act, col], F, ncut) / n
-            g[act, col] = v
-            best[act] = np.maximum(best[act], v)
-            swept += act.size
-        pairs += j.size
-        pick = np.argmax(g, axis=1)
-        winner = j[rows, pick]
+        m_lo, m_hi, most = _cut_range(n, lo, hi)
+        if kept.size and most > ncut:
+            offsets = offsets[:0]
+            g = g[:, :0]
+            continue
+        ncut = max(ncut, most)
+        grown = np.full((A, batch.size), -np.inf)
+        grown[:, kept] = g
+        g = grown
+        offsets = batch
+        reused += A * kept.size
+        pairs += lo.size
+        live = np.ones(lo.shape, dtype=bool)
+        if not kept.size:
+            home = np.flatnonzero(batch[cols] == 0)[0]
+            best = _windowed_min(n, lo[:, home], hi[:, home], F, ncut) / n
+            g[:, cols[home]] = best
+            swept += A
+            live[:, home] = False
+        floor = best - PROBE_TOL * np.maximum(best, 1.0)
+        live &= _envelope_bound(n, lo, hi, h[:, None], m_lo, m_hi) >= floor[:, None]
+        idx = np.flatnonzero(live)
+        pruned += lo.size - idx.size - A * (not kept.size)
+        bounded += idx.size
+        r, k = np.divmod(idx, cols.size)
+        lo, hi = lo.ravel()[idx], hi.ravel()[idx]
+        u = _two_sample_bound(n, lo, hi, F, m_lo.ravel()[idx], m_hi.ravel()[idx]) / n
+        # survivors grouped by angle, each group in decreasing u
+        order = np.flatnonzero(u >= floor[r])
+        order = order[np.argsort(-u[order])]
+        order = order[np.argsort(r[order], kind="stable")]
+        r, k, u, lo, hi = r[order], k[order], u[order], lo[order], hi[order]
+        count = np.bincount(r, minlength=A)
+        start = np.cumsum(count) - count
+        rows = np.flatnonzero(count)
+        visit = 0
+        while rows.size:
+            i = start[rows] + visit
+            ok = u[i] >= best[rows] - PROBE_TOL * np.maximum(best[rows], 1.0)
+            rows, i = rows[ok], i[ok]
+            v = _windowed_min(n, lo[i], hi[i], F, ncut) / n
+            g[rows, cols[k[i]]] = v
+            best[rows] = np.maximum(best[rows], v)
+            swept += rows.size
+            visit += 1
+            rows = rows[count[rows] > visit]
         if 2 * radius + 1 >= L:
             break
         # skipped beams sit at least (radius+1) spacings away on the circle;
@@ -289,9 +385,10 @@ def _matched_codebook_sweep(n: int, centers: np.ndarray, sines: np.ndarray,
             break
         radius *= 2
     log.debug("matched path (response-vector codebook recognised): %d beams x %d "
-              "angles, %d of %d candidate pairs given the full band minimum",
-              L, sines.size, swept, pairs)
-    return best, winner
+              "angles, %d of %d candidate pairs given the full band minimum, "
+              "%d pruned by the analytic bound, %d given the two-sample bound, "
+              "%d reused across a doubling", L, A, swept, pairs, pruned, bounded, reused)
+    return best, (j0 + offsets[np.argmax(g, axis=1)]) % L
 
 
 def _phase_powers(n: int, u: np.ndarray) -> np.ndarray:

@@ -67,6 +67,13 @@ class TestBeamVector:
         with pytest.raises(ValueError):
             BeamVector(np.ones((2, 2), dtype=complex) / np.sqrt(2))
 
+    @pytest.mark.parametrize("bad", [complex(np.nan, 0), complex(1, np.nan),
+                                     complex(np.inf, 0)])
+    def test_rejects_non_finite_weight(self, bad):
+        # a NaN deviation compares False against the tolerance either way
+        with pytest.raises(ValueError, match="constant-modulus"):
+            BeamVector(np.array([bad]))
+
 
 class TestSteering:
     def test_first_entry_is_one(self, cfg16):

@@ -1,6 +1,7 @@
 """Codebook assembly, shifting, and the evaluation harness."""
 
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -19,12 +20,16 @@ from widebeam import (
 from widebeam.array_model import BeamVector, composite_gain, dirichlet_power, steering_composite
 from widebeam.codebook import (
     GUARD_FLOOR,
+    PROBE_TOL,
     ZONE_GRID,
     Codebook,
+    _cut_range,
+    _envelope_bound,
     _general_sweep,
     _matched_codebook_sweep,
     _per_zone_worst,
     _phase_powers,
+    _two_sample_bound,
     _windowed_min,
     shift_beam,
 )
@@ -34,6 +39,13 @@ from widebeam.zones import divide_zones, prop3_upper_bound, virtual_interval
 def random_cm_beam(n, seed=0):
     rng = np.random.default_rng(seed)
     return BeamVector(np.exp(1j * rng.uniform(0, 2 * np.pi, n)) / np.sqrt(n))
+
+
+# beam 141 of an N=116, L=174 narrowband book seen from sin phi 7e-9 off
+# its centre, over a 42-sample band of relative half-width 3.3e-12
+_FLAT_C = (2.0 * 141 - 1.0) / 174 - 1.0
+FLAT_LO = _FLAT_C - (1 + 3.3201179946349743e-12) * 0.6149425353144793
+FLAT_HI = _FLAT_C - (1 - 3.3201179946349743e-12) * 0.6149425353144793
 
 
 def all_beams_band_minima(weights, sines, scale):
@@ -58,6 +70,36 @@ def random_book(kind, n, l, rng):
     if kind == "duplicated":
         w = w[rng.integers(0, max(1, l // 3), l)]
     return w
+
+
+def padded_windowed_min(n, lo, hi, n_samp, ncut=None):
+    """Reference _windowed_min: every window padded to ncut cut slots.
+
+    Both window ends, then for each slot the two samples either side of
+    the cut point 2(m_lo + slot)/n; a slot past the window's last cut
+    holds its first two samples instead.  All of them go through one
+    dirichlet_power call and a min over the slot axis.
+    """
+    if n_samp <= 1:
+        return dirichlet_power(lo, n)
+    m_lo, m_hi, most = _cut_range(n, lo, hi)
+    if ncut is None:
+        ncut = most
+    h = (hi - lo) / (n_samp - 1)
+    out = np.empty((2 + 2 * ncut,) + lo.shape)
+    out[0] = lo
+    out[1] = hi
+    for slot in range(ncut):
+        m = m_lo + slot
+        t = 2.0 * m / n
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            idx = np.floor((t - lo) / h)
+        idx = np.where(np.isfinite(idx), idx, 0.0)
+        idx = np.clip(idx, 0, n_samp - 2).astype(np.int64)
+        idx = np.where(m <= m_hi, idx, 0)
+        np.add(lo, idx * h, out=out[2 + 2 * slot])
+        np.add(out[2 + 2 * slot], h, out=out[3 + 2 * slot])
+    return dirichlet_power(out, n).min(axis=0)
 
 
 def unpruned_matched_sweep(n, centers, sines, scale):
@@ -243,6 +285,92 @@ class TestWindowedMin:
         brute = dirichlet_power(samples, n).min()
         fast = float(_windowed_min(n, lo_a, hi_a, f)[0])
         assert fast == pytest.approx(brute, rel=1e-9, abs=1e-12)
+
+    @settings(deadline=None, max_examples=300)
+    @given(n=st.integers(1, 200), f=st.integers(2, 600), extra=st.integers(0, 3),
+           windows=st.lists(st.tuples(st.floats(-3, 3),
+                                      st.one_of(st.just(0.0), st.floats(0, 0.2),
+                                                st.floats(0, 1.5))),
+                            min_size=1, max_size=12))
+    # the near-flat window of the N=116, L=174 sweep example, 7e-9 off a
+    # beam centre: the pad sample lo + h moves its minimum by rounding
+    @example(n=116, f=42, extra=1, windows=[(FLAT_LO, FLAT_HI - FLAT_LO)])
+    def test_bitwise_equal_to_the_padded_oracle(self, n, f, extra, windows):
+        lo = np.array([w[0] for w in windows])
+        hi = lo + np.array([w[1] for w in windows])
+        ncut = _cut_range(n, lo, hi)[2] + extra
+        assert np.array_equal(_windowed_min(n, lo, hi, f, ncut),
+                              padded_windowed_min(n, lo, hi, f, ncut))
+        assert np.array_equal(_windowed_min(n, lo, hi, f),
+                              padded_windowed_min(n, lo, hi, f))
+
+    def test_flat_window_pad_sample_moves_the_minimum(self):
+        # the example above stays a test of the pad only while the pad
+        # sample changes the minimum of this cut-free window
+        lo, hi = np.array([FLAT_LO]), np.array([FLAT_LO + (FLAT_HI - FLAT_LO)])
+        assert _cut_range(116, lo, hi)[2] == 0
+        bare, padded = _windowed_min(116, lo, hi, 42, 0), _windowed_min(116, lo, hi, 42, 1)
+        assert padded[0] < bare[0] == pytest.approx(padded[0], rel=1e-15)
+
+
+def window_near(n, anchor, k, frac, width, nudge):
+    """A window of the given width over an anchor point: a peak (an even
+    integer), a null (2m/n, m not a multiple of n), the wrap point |u| = 1
+    between two peaks, or a free point.  frac places the anchor inside the
+    window; nudge moves the window by up to 1.9e-9/n, inside the cut slack."""
+    if anchor == "peak":
+        a = 2.0 * k
+    elif anchor == "null":
+        m = k * n + (k % max(n - 1, 1)) + 1
+        a = 2.0 * m / n
+    elif anchor == "wrap":
+        a = 1.0 if k >= 0 else -1.0
+    else:
+        a = k / 7.0
+    lo = a - frac * width + nudge / n
+    return np.array([lo]), np.array([lo + width])
+
+
+class TestMatchedBounds:
+    window = dict(n=st.integers(1, 160), f=st.integers(2, 400),
+                  anchor=st.sampled_from(["peak", "null", "wrap", "free"]),
+                  k=st.integers(-15, 15), frac=st.floats(0, 1),
+                  width=st.one_of(st.just(0.0), st.floats(0, 0.05), st.floats(0, 0.5),
+                                  st.floats(0, 2.5)),
+                  nudge=st.sampled_from([0.0, 1.9e-9, -1.9e-9]))
+
+    @settings(deadline=None, max_examples=400)
+    @given(**window)
+    # a window on a peak that also holds the first nulls either side
+    @example(n=16, f=257, anchor="peak", k=1, frac=0.5, width=0.3, nudge=0.0)
+    # a zero-width window (h = 0) on a null, and one just outside it
+    @example(n=140, f=513, anchor="null", k=0, frac=0.0, width=0.0, nudge=0.0)
+    @example(n=140, f=513, anchor="null", k=0, frac=0.0, width=0.0, nudge=1.9e-9)
+    def test_envelope_bound_holds_on_a_dense_scan(self, n, f, anchor, k, frac, width, nudge):
+        lo, hi = window_near(n, anchor, k, frac, width, nudge)
+        h = (hi - lo) / (f - 1)
+        dense = dirichlet_power(np.append(lo + np.arange(f) * h, hi), n) / n
+        m_lo, m_hi, _ = _cut_range(n, lo, hi)
+        slack = lambda b: b + PROBE_TOL * max(b, 1.0)
+        # without the residue factor the capped envelope bounds every sample
+        envelope = float(_envelope_bound(n, lo, hi, np.inf, m_lo, m_hi)[0])
+        assert dense.max() <= slack(envelope)
+        # with it, the sample nearest a null, so the sampled minimum
+        bound = float(_envelope_bound(n, lo, hi, h, m_lo, m_hi)[0])
+        assert bound <= envelope
+        assert dense.min() <= slack(bound)
+        assert float(_windowed_min(n, lo, hi, f)[0]) / n <= slack(bound)
+
+    @settings(deadline=None, max_examples=300)
+    @given(extra=st.integers(0, 2), **window)
+    def test_two_sample_bound_is_never_below_the_windowed_min(self, n, f, anchor, k, frac,
+                                                             width, nudge, extra):
+        # the two samples are among the floats _windowed_min evaluates, so
+        # the bound holds with no slack at all, padded or not
+        lo, hi = window_near(n, anchor, k, frac, width, nudge)
+        m_lo, m_hi, most = _cut_range(n, lo, hi)
+        bound = _two_sample_bound(n, lo, hi, f, m_lo, m_hi)
+        assert bound[0] >= _windowed_min(n, lo, hi, f, most + extra)[0]
 
 
 class TestSweepPaths:
@@ -433,6 +561,53 @@ class TestEvaluateLog:
         assert f": 32 beams x {n_sines} angles, " in msg
         full, pairs = map(int, msg.split(", ")[1].split(" candidate")[0].split(" of "))
         assert n_sines <= full <= pairs
+
+    def matched_counts(self, caplog, cfg):
+        (rec,) = self.records(caplog, cfg, narrowband_codebook(cfg))
+        tail = rec.getMessage().split(" angles, ")[1]
+        assert re.fullmatch(r"\d+ of \d+ candidate pairs given the full band minimum, "
+                            r"\d+ pruned by the analytic bound, \d+ given the two-sample "
+                            r"bound, \d+ reused across a doubling", tail)
+        return dict(zip(["full", "pairs", "pruned", "bounded", "reused"],
+                        map(int, re.findall(r"\d+", tail))))
+
+    def first_radius_width(self, cfg):
+        b2 = cfg.B / (2 * cfg.f_c)
+        radius = int(np.ceil((b2 + 2.0 / cfg.N + 1.0 / cfg.L) / (2.0 / cfg.L))) + 1
+        return 2 * radius + 1
+
+    def test_doubled_radius_bounds_no_pair_twice(self, caplog):
+        # the Prop. 1 zero regime: some angles' best minimum lies under
+        # GUARD_FLOOR, so the first radius is not certified and doubles once
+        cfg = SystemConfig(f_c=140e9, B=18e9, N=140, L=200)
+        got = self.matched_counts(caplog, cfg)
+        n_sines = evaluate(cfg, narrowband_codebook(cfg)).angles.size
+        w0 = self.first_radius_width(cfg)
+        assert got["reused"] == n_sines * w0
+        assert got["pairs"] == n_sines * (2 * w0 - 1)
+        # every pair but the home beams' meets the analytic bound once
+        assert got["pruned"] + got["bounded"] + n_sines == got["pairs"]
+        assert n_sines <= got["full"] <= n_sines + got["bounded"]
+
+    def test_growing_cut_count_starts_the_sweep_over(self, caplog):
+        # here the doubled batch holds a window with one more cut point, so
+        # the kept minima would miss their pad sample: nothing is reused
+        cfg = SystemConfig(f_c=140e9, B=18e9, N=48, L=100, n_angle=64, n_freq=33)
+        got = self.matched_counts(caplog, cfg)
+        book = narrowband_codebook(cfg)
+        report = evaluate(cfg, book)
+        n_sines = report.angles.size
+        w0 = self.first_radius_width(cfg)
+        assert got["reused"] == 0
+        assert got["pairs"] == n_sines * (w0 + 2 * w0 - 1)
+        # the grid evaluate sweeps, rebuilt
+        sines = np.unique(np.concatenate([np.linspace(-1.0, 1.0, cfg.n_angle),
+                                          np.sin(book.partition.boundaries), [-1.0, 1.0]]))
+        centers = (2.0 * np.arange(1, cfg.L + 1) - 1.0) / cfg.L - 1.0
+        scale = 1.0 + cfg.frequency_grid() / cfg.f_c
+        ref_gains, ref_winner = unpruned_matched_sweep(cfg.N, centers, sines, scale)
+        assert np.array_equal(report.gains, ref_gains)
+        assert np.array_equal(report.best_indices - 1, ref_winner)
 
     def test_general_path_counts_swept_pairs(self, caplog, cfg16):
         book = build_codebook(cfg16)
