@@ -572,7 +572,7 @@ class TestEvaluateLog:
                         map(int, re.findall(r"\d+", tail))))
 
     def first_radius_width(self, cfg):
-        b2 = cfg.B / (2 * cfg.f_c)
+        b2 = float(1.0 + cfg.frequency_grid()[-1] / cfg.f_c - 1.0)
         radius = int(np.ceil((b2 + 2.0 / cfg.N + 1.0 / cfg.L) / (2.0 / cfg.L))) + 1
         return 2 * radius + 1
 
