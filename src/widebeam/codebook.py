@@ -324,6 +324,7 @@ def _matched_codebook_sweep(n: int, centers: np.ndarray, sines: np.ndarray,
         hi = c - win_lo[:, None]
         m_lo, m_hi, most = _cut_range(n, lo, hi)
         if kept.size and most > ncut:
+            # the kept minima lack the pad sample this batch gives them
             offsets = offsets[:0]
             g = g[:, :0]
             continue
