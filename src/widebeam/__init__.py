@@ -10,16 +10,12 @@ grid/Monte-Carlo evaluation harnesses.
 from .alm import SolverConfig, solve
 from .array_model import (
     BeamVector,
-    SteeringVector,
     SystemConfig,
-    beam_gain,
-    codebook_gain,
     composite_gain,
     delay_spread,
     dirichlet_power,
     min_cp,
     path_loss,
-    steering,
     steering_composite,
     wideband_beam_gain,
 )
@@ -59,13 +55,10 @@ __all__ = [
     "NarrowbandAnalysis",
     "PrvPlan",
     "SolverConfig",
-    "SteeringVector",
     "SystemConfig",
     "ZonePartition",
     "aligned_beam_wideband_gain",
-    "beam_gain",
     "build_codebook",
-    "codebook_gain",
     "composite_gain",
     "delay_spread",
     "design_beam_for_aod",
@@ -85,7 +78,6 @@ __all__ = [
     "read_codebook",
     "shift_beam",
     "solve",
-    "steering",
     "steering_composite",
     "sweep",
     "virtual_interval",

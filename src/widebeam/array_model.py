@@ -90,14 +90,6 @@ class BeamVector:
         return self.weights.size
 
 
-@dataclass(frozen=True)
-class SteeringVector:
-    """Array response h at one composite value; entries[0] == 1 exactly."""
-
-    entries: np.ndarray
-    composite: float
-
-
 def steering_composite(n: int, u) -> np.ndarray:
     """Raw steering entries exp(j*pi*k*u) for k = 0..n-1.
 
@@ -108,30 +100,12 @@ def steering_composite(n: int, u) -> np.ndarray:
     return np.exp(1j * np.pi * np.multiply.outer(np.asarray(u, dtype=float), k))
 
 
-def steering(cfg: SystemConfig, f: float, phi: float) -> SteeringVector:
-    """Array response at baseband frequency f and departure angle phi."""
-    if not (np.isfinite(f) and np.isfinite(phi)):
-        raise ValueError("f and phi must be finite")
-    if not (-cfg.B / 2 <= f <= cfg.B / 2):
-        raise ValueError(f"f={f} outside the band [-B/2, B/2]")
-    if not (-np.pi / 2 <= phi <= np.pi / 2):
-        raise ValueError(f"phi={phi} outside [-pi/2, pi/2]")
-    u = (1.0 + f / cfg.f_c) * np.sin(phi)
-    return SteeringVector(entries=steering_composite(cfg.N, float(u)), composite=float(u))
-
-
 def composite_gain(weights: np.ndarray, u) -> np.ndarray:
     """|h(u)^H w|^2 evaluated at composite value(s) u; shape follows u."""
     u = np.asarray(u, dtype=float)
     k = np.arange(weights.size)
     field = np.exp(-1j * np.pi * np.multiply.outer(u.ravel(), k)) @ weights
     return (np.abs(field) ** 2).reshape(u.shape)
-
-
-def beam_gain(cfg: SystemConfig, f: float, phi: float, w: BeamVector) -> float:
-    """Power gain |h(f,phi)^H w|^2, in [0, N]."""
-    h = steering(cfg, f, phi)
-    return float(np.abs(h.entries.conj() @ w.weights) ** 2)
 
 
 def wideband_beam_gain(cfg: SystemConfig, phi: float, w: BeamVector) -> float:
@@ -143,21 +117,6 @@ def wideband_beam_gain(cfg: SystemConfig, phi: float, w: BeamVector) -> float:
     """
     u = (1.0 + cfg.frequency_grid() / cfg.f_c) * np.sin(phi)
     return float(composite_gain(w.weights, u).min())
-
-
-def codebook_gain(cfg: SystemConfig, phi: float, beams) -> tuple[float, int]:
-    """Best wideband gain over a beam collection and the 1-based winner index.
-
-    `beams` is a Codebook or any sequence of BeamVector.  Ties go to the
-    lowest index.  Beam numbering is 1-based to match the l = 1..L zone
-    numbering used everywhere in reports and CSV output.
-    """
-    seq = getattr(beams, "beams", beams)
-    if len(seq) == 0:
-        raise ValueError("empty codebook")
-    gains = [wideband_beam_gain(cfg, phi, w) for w in seq]
-    best = int(np.argmax(gains))  # argmax returns the first maximizer
-    return gains[best], best + 1
 
 
 def dirichlet_power(u, n: int):

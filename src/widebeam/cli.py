@@ -67,12 +67,12 @@ def load_config(path: str) -> tuple[SystemConfig, SolverConfig]:
     if unknown:
         raise ConfigError(f"{path}: unknown config keys: {', '.join(unknown)}")
     merged = {**CONFIG_DEFAULTS, **data}
-    for key in _INT_KEYS:
-        v = merged[key]
-        if v is None:
-            continue
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ConfigError(f"{path}: key {key!r} must be an integer, got {v!r}")
+    for key, v in merged.items():
+        if key in _INT_KEYS:
+            if v is not None and (isinstance(v, bool) or not isinstance(v, int)):
+                raise ConfigError(f"{path}: key {key!r} must be an integer, got {v!r}")
+        elif isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ConfigError(f"{path}: key {key!r} must be a number, got {v!r}")
     try:
         cfg = SystemConfig(
             f_c=float(merged["f_c_hz"]), B=float(merged["b_hz"]),
@@ -84,7 +84,7 @@ def load_config(path: str) -> tuple[SystemConfig, SolverConfig]:
             beta1=float(merged["beta1"]), beta2=float(merged["beta2"]),
             n_ite=merged["n_ite"], eps=float(merged["eps"]),
         )
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"{path}: {e}") from e
     return cfg, solver_cfg
 

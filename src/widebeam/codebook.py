@@ -10,13 +10,14 @@ that another beam attains can neither win nor tie, and is never swept
 over the full band.  For codebooks made of plain response vectors the
 sweep collapses to Dirichlet-kernel lookups over the candidate beams near
 each angle (an envelope bound certifies that the beams outside that
-radius cannot change the outcome).  Each angle is seeded with its home
-beam's minimum; every other candidate is bounded first in closed form by
-the kernel's sidelobe envelope, with no kernel call, then by the kernel
-at two of its frequency samples, and only candidates whose bound reaches
-the best minimum found so far get the full sampled minimum.  Any other
-codebook goes through the general sweep, which bounds every beam by its
-minimum over three probe frequencies.
+radius cannot change any gain at or above GUARD_FLOOR; a lower gain may
+miss a skipped beam that does better, though never above GUARD_FLOOR).
+Each angle is seeded with its home beam's minimum; every other candidate
+is bounded first in closed form by the kernel's sidelobe envelope, with no
+kernel call, then by the kernel at two of its frequency samples, and only
+candidates whose bound reaches the best minimum found so far get the full
+sampled minimum.  Any other codebook goes through the general sweep, which
+bounds every beam by its minimum over three probe frequencies.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .prv import prv_beam, prv_plan
 from .zones import ZonePartition, divide_zones, virtual_interval
 
 ZONE_GRID = 1025        # per-zone virtual grid for local worst cases
-GUARD_FLOOR = 5e-4      # absolute gain below which pruned beams are irrelevant
+GUARD_FLOOR = 5e-4      # matched-sweep gains below this may miss a skipped far beam
 SWEEP_CELLS = 1e6       # phase-matrix cells per angle block of the general sweep
 PROBE_TOL = 1e-9        # relative slack that keeps near-ties in the pruned sweeps
 HORNER_ROWS = 32        # beams per Horner pass of the per-zone minima
@@ -148,12 +149,11 @@ def _matched_centers(cfg: SystemConfig, cb: Codebook) -> np.ndarray | None:
     return centers
 
 
-def _cut_range(n: int, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """First and last m with the cut point 2m/n inside [lo, hi] (1e-9
-    slack), and the most cut points any one window holds."""
+def _cut_range(n: int, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and last m with the cut point 2m/n inside [lo, hi] (1e-9 slack)."""
     m_lo = np.ceil(lo * (n / 2.0) - 1e-9).astype(np.int64)
     m_hi = np.floor(hi * (n / 2.0) + 1e-9).astype(np.int64)
-    return m_lo, m_hi, int(np.max(m_hi - m_lo + 1, initial=0))
+    return m_lo, m_hi
 
 
 def _cut_samples(n: int, lo: np.ndarray, h: np.ndarray, m: np.ndarray,
@@ -175,41 +175,30 @@ def _first_null(n: int, m_lo: np.ndarray, m_hi: np.ndarray) -> tuple[np.ndarray,
     return m, (m <= m_hi) & (n > 1)
 
 
-def _windowed_min(n: int, lo: np.ndarray, hi: np.ndarray, n_samp: int,
-                  ncut: int | None = None) -> np.ndarray:
+def _windowed_min(n: int, lo: np.ndarray, hi: np.ndarray, n_samp: int) -> np.ndarray:
     """Minimum of dirichlet_power over n_samp uniform samples of [lo, hi].
 
     Exact, but far cheaper than evaluating every sample: the pattern is
     unimodal between consecutive multiples of 2/n (its nulls and peaks),
     so the sampled minimum is attained at a window end or at a sample
     adjacent to one of those cut points.  Only those samples are
-    evaluated, a handful per window instead of n_samp.  A window with
-    fewer cut points than ncut (by default the most any window of the
-    batch holds) also looks at its second sample lo + h, as a batch that
-    pads every window to ncut cut slots would; a caller that evaluates
-    part of a batch passes the batch's count, so each window is evaluated
-    on the same samples as in the whole batch.
+    evaluated, a handful per window instead of n_samp.
     """
     if n_samp <= 1:
         return dirichlet_power(lo, n)
     shape = np.shape(lo)
     lo = np.ravel(lo)
     hi = np.ravel(hi)
-    m_lo, m_hi, most = _cut_range(n, lo, hi)
-    if ncut is None:
-        ncut = most
+    m_lo, m_hi = _cut_range(n, lo, hi)
     h = (hi - lo) / (n_samp - 1)
     count = np.maximum(m_hi - m_lo + 1, 0)
-    pad = np.flatnonzero(count < ncut)
-    # the cut slots of all windows, window by window
+    # the cut points of all windows, window by window
     first = np.cumsum(count) - count
     w = np.repeat(np.arange(lo.size), count)
     x1, x2 = _cut_samples(n, lo[w], h[w], m_lo[w] + (np.arange(w.size) - first[w]), n_samp)
-    v = dirichlet_power(np.concatenate([lo, hi, lo[pad] + h[pad], x1, x2]), n)
+    v = dirichlet_power(np.concatenate([lo, hi, x1, x2]), n)
     out = np.minimum(v[:lo.size], v[lo.size:2 * lo.size])
     v = v[2 * lo.size:]
-    out[pad] = np.minimum(out[pad], v[:pad.size])
-    v = v[pad.size:]
     has = np.flatnonzero(count)
     if has.size:
         cut = np.minimum(v[:w.size], v[w.size:])
@@ -265,7 +254,8 @@ def _matched_codebook_sweep(n: int, centers: np.ndarray, sines: np.ndarray,
 
     * their pattern over the angle's frequency window stays under the
       1/(n sin^2) sidelobe envelope, which is below the achieved gain or
-      below the floor under which no beam can matter, or
+      below GUARD_FLOOR (where the achieved gain is under GUARD_FLOOR, a
+      skipped beam may then beat it, though not the floor), or
     * the frequency window spans a full null spacing (2/n) and, by the
       radius construction, lies entirely outside the skipped beam's main
       lobe, so it straddles an exact null of that beam's pattern; the
@@ -286,12 +276,10 @@ def _matched_codebook_sweep(n: int, centers: np.ndarray, sines: np.ndarray,
        bound still reaches best, the full sampled minimum (_windowed_min).
 
     When the radius doubles, the inner pairs keep their minima and best,
-    and only the new offsets are bounded.  If the wider batch holds more
-    cut points per window (ncut), the kept minima lack the pad sample
-    _windowed_min now adds, so the sweep starts over at the new radius.
-    The argmax runs in offset order over the evaluated pairs, each on the
-    samples the unpruned batch would use, so gains and winners are those
-    of evaluating every candidate.
+    and only the new offsets are bounded.  A pair's minimum does not
+    depend on the batch that computes it, and the argmax runs in offset
+    order over the evaluated pairs, so gains and winners are those of
+    evaluating every candidate.
     """
     L = centers.size
     F = scale.size
@@ -309,7 +297,6 @@ def _matched_codebook_sweep(n: int, centers: np.ndarray, sines: np.ndarray,
     offsets = np.zeros(0, dtype=int)        # the offsets whose pairs are done
     g = np.zeros((A, 0))                    # their minima, -inf where pruned
     best = np.full(A, -np.inf)
-    ncut = 0
     swept = pairs = pruned = bounded = reused = 0
     while True:
         batch = np.arange(L) if 2 * radius + 1 >= L else np.arange(-radius, radius + 1)
@@ -322,13 +309,7 @@ def _matched_codebook_sweep(n: int, centers: np.ndarray, sines: np.ndarray,
         c = ring[L + j0[:, None] + batch[cols]]
         lo = c - win_hi[:, None]
         hi = c - win_lo[:, None]
-        m_lo, m_hi, most = _cut_range(n, lo, hi)
-        if kept.size and most > ncut:
-            # the kept minima lack the pad sample this batch gives them
-            offsets = offsets[:0]
-            g = g[:, :0]
-            continue
-        ncut = max(ncut, most)
+        m_lo, m_hi = _cut_range(n, lo, hi)
         grown = np.full((A, batch.size), -np.inf)
         grown[:, kept] = g
         g = grown
@@ -338,7 +319,7 @@ def _matched_codebook_sweep(n: int, centers: np.ndarray, sines: np.ndarray,
         live = np.ones(lo.shape, dtype=bool)
         if not kept.size:
             home = np.flatnonzero(batch[cols] == 0)[0]
-            best = _windowed_min(n, lo[:, home], hi[:, home], F, ncut) / n
+            best = _windowed_min(n, lo[:, home], hi[:, home], F) / n
             g[:, cols[home]] = best
             swept += A
             live[:, home] = False
@@ -363,7 +344,7 @@ def _matched_codebook_sweep(n: int, centers: np.ndarray, sines: np.ndarray,
             i = start[rows] + visit
             ok = u[i] >= best[rows] - PROBE_TOL * np.maximum(best[rows], 1.0)
             rows, i = rows[ok], i[ok]
-            v = _windowed_min(n, lo[i], hi[i], F, ncut) / n
+            v = _windowed_min(n, lo[i], hi[i], F) / n
             g[rows, cols[k[i]]] = v
             best[rows] = np.maximum(best[rows], v)
             swept += rows.size

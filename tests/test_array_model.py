@@ -8,14 +8,11 @@ from hypothesis import strategies as st
 from widebeam.array_model import (
     BeamVector,
     SystemConfig,
-    beam_gain,
-    codebook_gain,
     composite_gain,
     delay_spread,
     dirichlet_power,
     min_cp,
     path_loss,
-    steering,
     steering_composite,
     wideband_beam_gain,
 )
@@ -76,25 +73,16 @@ class TestBeamVector:
 
 
 class TestSteering:
-    def test_first_entry_is_one(self, cfg16):
-        sv = steering(cfg16, 5e9, 0.3)
-        assert sv.entries[0] == 1.0 + 0.0j
-        assert np.allclose(np.abs(sv.entries), 1.0)
+    def test_first_entry_is_one(self):
+        h = steering_composite(16, (1 + 5e9 / 140e9) * np.sin(0.3))
+        assert h[0] == 1.0 + 0.0j
+        assert np.allclose(np.abs(h), 1.0)
 
-    def test_composite_value(self, cfg16):
-        sv = steering(cfg16, 5e9, 0.3)
-        assert sv.composite == pytest.approx((1 + 5e9 / 140e9) * np.sin(0.3), abs=1e-15)
-
-    def test_phase_progression(self, cfg16):
-        sv = steering(cfg16, -5e9, -0.2)
-        k = np.arange(cfg16.N)
-        assert np.allclose(sv.entries, np.exp(1j * np.pi * k * sv.composite), atol=1e-12)
-
-    def test_rejects_out_of_band(self, cfg16):
-        with pytest.raises(ValueError):
-            steering(cfg16, 6e9, 0.0)
-        with pytest.raises(ValueError):
-            steering(cfg16, 0.0, 2.0)
+    def test_phase_progression(self):
+        u = np.array([-0.7, (1 - 5e9 / 140e9) * np.sin(-0.2), 1.3])
+        k = np.arange(16)
+        assert np.allclose(steering_composite(16, u), np.exp(1j * np.pi * np.outer(u, k)),
+                           atol=1e-12)
 
 
 class TestDirichletPower:
@@ -133,12 +121,13 @@ class TestGains:
         f = 5e9
         u = (1 + f / cfg.f_c) * np.sin(np.radians(35))
         expect = dirichlet_power(u - np.sin(np.radians(30)), 8) / 8
-        assert beam_gain(cfg, f, np.radians(35), w) == pytest.approx(expect, abs=1e-9)
+        assert composite_gain(w.weights, u) == pytest.approx(expect, abs=1e-9)
 
     def test_wideband_gain_is_band_minimum(self, cfg16):
         w = matched(16, 0.1)
         phi = 0.4
-        per_f = [beam_gain(cfg16, f, phi, w) for f in cfg16.frequency_grid()]
+        per_f = [composite_gain(w.weights, (1 + f / cfg16.f_c) * np.sin(phi))
+                 for f in cfg16.frequency_grid()]
         assert wideband_beam_gain(cfg16, phi, w) == pytest.approx(min(per_f), rel=1e-12)
 
     @given(st.integers(2, 24), st.floats(-1.0, 1.0))
@@ -148,14 +137,6 @@ class TestGains:
         w = np.exp(1j * rng.uniform(0, 2 * np.pi, n)) / np.sqrt(n)
         g = composite_gain(w, np.array([u]))[0]
         assert -1e-12 <= g <= n * (1 + 1e-12)
-
-    def test_codebook_gain_first_max_one_based(self, cfg16):
-        beams = [matched(16, (2 * l - 1) / 4 - 1) for l in range(1, 5)]
-        g, idx = codebook_gain(cfg16, np.arcsin(-0.75), beams)
-        assert idx == 1
-        g2, idx2 = codebook_gain(cfg16, np.arcsin(0.75), beams)
-        assert idx2 == 4
-        assert g == pytest.approx(g2, rel=1e-9)  # mirror symmetric layout
 
 
 class TestLinkBudget:

@@ -46,6 +46,19 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="'n_ite' must be an integer"):
             load_config(write_config(n_ite=True))
 
+    @pytest.mark.parametrize("key,value", [("f_c_hz", "140e9"), ("b_hz", True),
+                                           ("rho1", None)])
+    def test_float_keys_reject_non_numbers(self, write_config, key, value):
+        with pytest.raises(ConfigError, match=f"'{key}' must be a number"):
+            load_config(write_config(**{key: value}))
+
+    def test_float_keys_take_integers(self, write_config):
+        cfg, solver = load_config(write_config(f_c_hz=140_000_000_000, rho2=2))
+        assert (cfg.f_c, solver.rho2) == (140e9, 2.0)
+        # a JSON integer beyond the double range cannot become a float
+        with pytest.raises(ConfigError, match="too large"):
+            load_config(write_config(b_hz=10 ** 400))
+
     def test_invalid_values_are_config_errors(self, write_config):
         with pytest.raises(ConfigError):
             load_config(write_config(b_hz=-1.0))
