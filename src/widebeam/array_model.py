@@ -67,6 +67,16 @@ class SystemConfig:
         return np.linspace(-self.B / 2, self.B / 2, self.n_freq)
 
 
+def _check_modulus(w: np.ndarray) -> None:
+    """Raise unless every |w_i| is within MODULUS_TOL of 1/sqrt(N), N the
+    length of the last axis."""
+    dev = np.abs(np.abs(w) - 1.0 / np.sqrt(w.shape[-1])).max()
+    if not dev <= MODULUS_TOL:      # a NaN weight fails this test too
+        raise ValueError(
+            f"constant-modulus violation: max deviation {dev:.3e} from 1/sqrt(N)"
+        )
+
+
 @dataclass(frozen=True)
 class BeamVector:
     """Length-N analog weight vector with per-element modulus 1/sqrt(N)."""
@@ -77,13 +87,26 @@ class BeamVector:
         w = np.array(self.weights, dtype=complex)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a non-empty 1-D complex vector")
-        dev = np.abs(np.abs(w) - 1.0 / np.sqrt(w.size)).max()
-        if not dev <= MODULUS_TOL:      # a NaN weight fails this test too
-            raise ValueError(
-                f"constant-modulus violation: max deviation {dev:.3e} from 1/sqrt(N)"
-            )
+        _check_modulus(w)
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
+
+    @classmethod
+    def rows(cls, weights) -> tuple["BeamVector", ...]:
+        """One beam per row of an (L, N) block, the modulus checked once
+        over the whole block.  Each beam holds a view of its row in a
+        read-only copy of the block."""
+        w = np.array(weights, dtype=complex)
+        if w.ndim != 2 or w.shape[1] == 0:
+            raise ValueError("weights must be a 2-D complex block of non-empty rows")
+        _check_modulus(w)
+        w.setflags(write=False)
+        beams = []
+        for row in w:
+            beam = object.__new__(cls)
+            object.__setattr__(beam, "weights", row)
+            beams.append(beam)
+        return tuple(beams)
 
     @property
     def n(self) -> int:

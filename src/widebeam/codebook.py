@@ -12,12 +12,14 @@ sweep collapses to Dirichlet-kernel lookups over the candidate beams near
 each angle (an envelope bound certifies that the beams outside that
 radius cannot change any gain at or above GUARD_FLOOR; a lower gain may
 miss a skipped beam that does better, though never above GUARD_FLOOR).
-Each angle is seeded with its home beam's minimum; every other candidate
-is bounded first in closed form by the kernel's sidelobe envelope, with no
-kernel call, then by the kernel at two of its frequency samples, and only
-candidates whose bound reaches the best minimum found so far get the full
-sampled minimum.  Any other codebook goes through the general sweep, which
-bounds every beam by its minimum over three probe frequencies.
+Each angle is seeded with its home beam's minimum.  Its other candidates
+come as runs of offsets read off in closed form, the reach of the
+kernel's sidelobe envelope less the main lobe's flank below that minimum;
+each is bounded by the envelope, with no kernel call, then by the kernel
+at two of its frequency samples, and only candidates whose bound reaches
+the best minimum found so far get the full sampled minimum.  Any other
+codebook goes through the general sweep, which bounds every beam by its
+minimum over three probe frequencies.
 """
 
 from __future__ import annotations
@@ -32,13 +34,14 @@ from . import alm
 from .array_model import (BeamVector, SystemConfig, dirichlet_power,
                           steering_composite)
 from .prv import prv_beam, prv_plan
-from .zones import ZonePartition, divide_zones, virtual_interval
+from .zones import ZonePartition, divide_zones, zone_intervals
 
 ZONE_GRID = 1025        # per-zone virtual grid for local worst cases
 GUARD_FLOOR = 5e-4      # matched-sweep gains below this may miss a skipped far beam
 SWEEP_CELLS = 1e6       # phase-matrix cells per angle block of the general sweep
 PROBE_TOL = 1e-9        # relative slack that keeps near-ties in the pruned sweeps
 HORNER_ROWS = 32        # beams per Horner pass of the per-zone minima
+LOBE_TABLE = 1024       # main-lobe intervals behind the matched sweep's lobe reach
 
 log = logging.getLogger(__name__)
 
@@ -136,7 +139,8 @@ def _matched_centers(cfg: SystemConfig, cb: Codebook) -> np.ndarray | None:
     Recognized: uniform sine zone boundaries and every beam equal to the
     response vector at its zone's sine center, both within 1e-9.  This is
     what the narrowband constructor emits and what its JSON round-trip
-    produces.
+    produces.  The response vectors are built by doubling (_phase_powers),
+    whose rounding lies far below the tolerance.
     """
     L = len(cb)
     expected_bounds = -1.0 + 2.0 * np.arange(L + 1) / L
@@ -144,7 +148,7 @@ def _matched_centers(cfg: SystemConfig, cb: Codebook) -> np.ndarray | None:
         return None
     centers = (2.0 * np.arange(1, L + 1) - 1.0) / L - 1.0
     weights = np.stack([w.weights for w in cb.beams])
-    if np.abs(weights - steering_composite(cfg.N, centers) / np.sqrt(cfg.N)).max() > 1e-9:
+    if np.abs(weights - _phase_powers(cfg.N, -centers).T / np.sqrt(cfg.N)).max() > 1e-9:
         return None
     return centers
 
@@ -206,6 +210,11 @@ def _windowed_min(n: int, lo: np.ndarray, hi: np.ndarray, n_samp: int) -> np.nda
     return out.reshape(shape)
 
 
+def _null_residue(n: int, h: np.ndarray) -> np.ndarray:
+    """_envelope_bound's residue factor at sample step h."""
+    return np.minimum(1.0, (n * np.pi / 4.0 * h + 1e-8) ** 2)
+
+
 def _envelope_bound(n: int, lo: np.ndarray, hi: np.ndarray, h: np.ndarray,
                     m_lo: np.ndarray, m_hi: np.ndarray) -> np.ndarray:
     """Upper bound on the sampled minimum of dirichlet_power/n over [lo, hi],
@@ -225,8 +234,7 @@ def _envelope_bound(n: int, lo: np.ndarray, hi: np.ndarray, h: np.ndarray,
     peak = 2.0 * np.floor(hi / 2.0)         # the last peak at or below hi
     d = np.maximum(np.minimum(lo - peak, peak + 2.0 - hi), 0.0)
     bound = n / np.maximum(1.0, n * n * np.sin(np.pi / 2.0 * d) ** 2)
-    residue = np.minimum(1.0, (n * np.pi / 4.0 * h + 1e-8) ** 2)
-    return np.where(_first_null(n, m_lo, m_hi)[1], bound * residue, bound)
+    return np.where(_first_null(n, m_lo, m_hi)[1], bound * _null_residue(n, h), bound)
 
 
 def _two_sample_bound(n: int, lo: np.ndarray, hi: np.ndarray, n_samp: int,
@@ -240,6 +248,25 @@ def _two_sample_bound(n: int, lo: np.ndarray, hi: np.ndarray, n_samp: int,
     x1, x2 = _cut_samples(n, lo, (hi - lo) / (n_samp - 1), m, n_samp)
     v = dirichlet_power(np.concatenate([np.where(null, x1, lo), np.where(null, x2, hi)]), n)
     return np.minimum(v[:lo.size], v[lo.size:])
+
+
+def _envelope_reach(n: int, level: np.ndarray) -> np.ndarray:
+    """Distance d from the nearest peak beyond which the capped envelope
+    min(n, 1/(n sin^2(pi d/2))) of _envelope_bound lies below level: the
+    window distances where that bound can still reach level are d <= reach.
+    1, every distance, where n*level <= 1."""
+    return 2.0 / np.pi * np.arcsin(1.0 / np.sqrt(np.maximum(n * level, 1.0)))
+
+
+def _lobe_reach(n: int, level: np.ndarray) -> np.ndarray:
+    """A distance r in [0, 2/n] with dirichlet_power(d)/n <= level for every
+    d in [r, 2/n], the smallest of LOBE_TABLE+1 uniform candidates; inf where
+    none qualifies.  The main lobe falls monotonically from n at the peak to
+    0 at the first null 2/n, so the first table point at or below level is
+    such an r.  Rounding in the table is far below PROBE_TOL."""
+    grid = np.append(np.linspace(0.0, 2.0 / n, LOBE_TABLE + 1), np.inf)
+    lobe = dirichlet_power(grid[:-1], n) / n
+    return grid[LOBE_TABLE + 1 - np.searchsorted(lobe[::-1], level, side="right")]
 
 
 def _matched_codebook_sweep(n: int, centers: np.ndarray, sines: np.ndarray,
@@ -263,28 +290,54 @@ def _matched_codebook_sweep(n: int, centers: np.ndarray, sines: np.ndarray,
       residue at the sample nearest that null.
 
     Within the radius, candidates are branch-and-bound pruned.  Any upper
-    bound on a pair's sampled band minimum that lies below best - PROBE_TOL
-    * max(best, 1), best being a minimum another candidate attains, rules
-    the pair out: it can neither win nor tie.  The tolerance covers the
-    rounding between a bound and the minimum.  Each angle's best starts at
-    its home beam's (offset 0) full minimum; every other (angle, candidate)
-    pair then meets at most three tiers:
+    bound on a pair's sampled band minimum that lies below floor = best -
+    PROBE_TOL * max(best, 1), best being a minimum another candidate
+    attains, rules the pair out: it can neither win nor tie.  The tolerance
+    covers the rounding between a bound and the minimum.  Each angle's best
+    starts at its home beam's (offset 0) full minimum.
 
-    0. the analytic bound of _envelope_bound, with no kernel call;
+    The reach.  Candidate k's window in the kernel's argument is
+    [e_lo + k*spacing, e_hi + k*spacing], e_lo and e_hi being the home
+    window's ends and k the offset taken in a centred range around the home
+    beam.  So its distance d from the peak at 0, and the distance d_far of
+    its far end, are piecewise linear in k, and each angle's candidates are
+    read off in closed form, with no per-pair work:
+
+    * sidelobe reach (_envelope_reach): the capped envelope of
+      _envelope_bound is below floor once d > (2/pi) asin(1/sqrt(n*floor)).
+      Where every window of the angle holds a null (width >= 4/n), the same
+      holds with floor divided by the angle's residue factor.  This applies
+      where no window of the range comes within the reach of the peaks at
+      +-2, so that d is the distance to the nearest peak; elsewhere the
+      whole range is kept.
+    * main-lobe reach (_lobe_reach): _windowed_min evaluates both window
+      ends, and on [0, 2/n] the pattern falls monotonically from n at the
+      peak to 0 at the first null.  Take r with dirichlet_power(r)/n <=
+      floor.  A window whose far end lies at d_far in [r, 2/n] has a sample
+      at d_far, so its sampled minimum is at most dirichlet_power(d_far)/n
+      <= dirichlet_power(r)/n <= floor: it is dropped.
+
+    What is left is three runs of k per angle, within the sidelobe reach:
+    the windows whose far end is short of r, and those reaching past the
+    first null on either side.  Every pair in them meets at most three
+    tiers:
+
+    0. the exact _envelope_bound, with no kernel call;
     1. for its survivors, _two_sample_bound, two kernel samples;
     2. for theirs, visited per angle in decreasing tier-1 bound while that
        bound still reaches best, the full sampled minimum (_windowed_min).
 
     When the radius doubles, the inner pairs keep their minima and best,
     and only the new offsets are bounded.  A pair's minimum does not
-    depend on the batch that computes it, and the argmax runs in offset
-    order over the evaluated pairs, so gains and winners are those of
-    evaluating every candidate.
+    depend on the batch that computes it, the pairs that attain best are
+    never pruned, and the argmax runs in offset order over the evaluated
+    pairs, so gains and winners are those of evaluating every candidate.
     """
     L = centers.size
     F = scale.size
     A = sines.size
     spacing = 2.0 / L
+    eps = 1e-6 * spacing                    # widens what the reach keeps, narrows what it drops
     b2 = float(scale[-1] - 1.0)
     p0 = scale[0] * sines
     p1 = scale[-1] * sines
@@ -294,48 +347,77 @@ def _matched_codebook_sweep(n: int, centers: np.ndarray, sines: np.ndarray,
     radius = int(np.ceil((b2 + 2.0 / n + 1.0 / L) / spacing)) + 1
     h = (win_hi - win_lo) / (F - 1)
     ring = np.tile(centers, 3)              # centers[(j0 + offset) % L] at L + j0 + offset
+    e_lo = centers[j0] - win_hi             # the home window; offset k adds k*spacing
+    e_hi = centers[j0] - win_lo
+    # _envelope_bound's residue factor, where every window of the angle holds a null
+    null_factor = np.where((win_hi - win_lo >= 4.0 / n) & (n > 1), _null_residue(n, h), 1.0)
     offsets = np.zeros(0, dtype=int)        # the offsets whose pairs are done
     g = np.zeros((A, 0))                    # their minima, -inf where pruned
     best = np.full(A, -np.inf)
+    inner = 0                               # centred offsets -inner..inner are done
     swept = pairs = pruned = bounded = reused = 0
     while True:
-        batch = np.arange(L) if 2 * radius + 1 >= L else np.arange(-radius, radius + 1)
+        full = 2 * radius + 1 >= L
+        batch = np.arange(L) if full else np.arange(-radius, radius + 1)
+        k_lo, k_hi = (-(L // 2), L - 1 - L // 2) if full else (-radius, radius)
         slot = np.empty(L, dtype=int)
         slot[batch % L] = np.arange(batch.size)
         kept = slot[offsets % L]
-        fresh = np.ones(batch.size, dtype=bool)
-        fresh[kept] = False
-        cols = np.flatnonzero(fresh)
-        c = ring[L + j0[:, None] + batch[cols]]
-        lo = c - win_hi[:, None]
-        hi = c - win_lo[:, None]
-        m_lo, m_hi = _cut_range(n, lo, hi)
         grown = np.full((A, batch.size), -np.inf)
         grown[:, kept] = g
         g = grown
         offsets = batch
         reused += A * kept.size
-        pairs += lo.size
-        live = np.ones(lo.shape, dtype=bool)
+        fresh = A * (batch.size - kept.size)
+        pairs += fresh
         if not kept.size:
-            home = np.flatnonzero(batch[cols] == 0)[0]
-            best = _windowed_min(n, lo[:, home], hi[:, home], F) / n
-            g[:, cols[home]] = best
+            best = _windowed_min(n, e_lo, e_hi, F) / n
+            g[:, slot[0]] = best
             swept += A
-            live[:, home] = False
+            fresh -= A
         floor = best - PROBE_TOL * np.maximum(best, 1.0)
-        live &= _envelope_bound(n, lo, hi, h[:, None], m_lo, m_hi) >= floor[:, None]
-        idx = np.flatnonzero(live)
-        pruned += lo.size - idx.size - A * (not kept.size)
+        reach = _envelope_reach(n, floor / null_factor)
+        flank = _lobe_reach(n, floor)
+
+        def krange(lo, hi):
+            """The integers k with lo <= k*spacing <= hi, clipped to the batch."""
+            return (np.ceil(np.clip(lo / spacing, k_lo - 1, k_hi + 1)).astype(np.int64),
+                    np.floor(np.clip(hi / spacing, k_lo - 1, k_hi + 1)).astype(np.int64))
+
+        # runs of k: within the sidelobe reach, where the peaks at +-2 are out
+        # of it, less the windows inside the main lobe whose far end lies at
+        # flank or beyond; then outside -inner..inner
+        near = ((e_hi + k_hi * spacing < 2.0 - reach - 1e-9)
+                & (e_lo + k_lo * spacing > reach - 2.0 + 1e-9))
+        in_lo, in_hi = krange(np.where(near, -reach - e_hi, -np.inf) - eps,
+                              np.where(near, reach - e_lo, np.inf) + eps)
+        lobe_lo, lobe_hi = krange(-2.0 / n - e_lo + eps, 2.0 / n - e_hi - eps)
+        lobe_hi = np.maximum(lobe_hi, lobe_lo - 1)
+        short_lo, short_hi = krange(-flank - e_lo - eps, flank - e_hi + eps)
+        starts = np.stack([in_lo, np.maximum(np.maximum(in_lo, short_lo), lobe_lo),
+                           np.maximum(in_lo, lobe_hi + 1)], axis=1)
+        ends = np.stack([np.minimum(in_hi, lobe_lo - 1),
+                         np.minimum(np.minimum(in_hi, short_hi), lobe_hi), in_hi], axis=1)
+        starts = np.maximum(starts[:, :, None], [k_lo, inner + 1]).reshape(A, -1)
+        ends = np.minimum(ends[:, :, None], [-inner - 1, k_hi]).reshape(A, -1)
+        count = np.maximum(ends - starts + 1, 0).ravel()
+        r = np.repeat(np.arange(A).repeat(starts.shape[1]), count)
+        k = np.arange(r.size) + np.repeat(starts.ravel() - (np.cumsum(count) - count), count)
+        col = slot[k % L]
+        c = ring[L + j0[r] + k]
+        lo = c - win_hi[r]
+        hi = c - win_lo[r]
+        m_lo, m_hi = _cut_range(n, lo, hi)
+        idx = np.flatnonzero(_envelope_bound(n, lo, hi, h[r], m_lo, m_hi) >= floor[r])
+        pruned += fresh - idx.size
         bounded += idx.size
-        r, k = np.divmod(idx, cols.size)
-        lo, hi = lo.ravel()[idx], hi.ravel()[idx]
-        u = _two_sample_bound(n, lo, hi, F, m_lo.ravel()[idx], m_hi.ravel()[idx]) / n
+        r, col, lo, hi = r[idx], col[idx], lo[idx], hi[idx]
+        u = _two_sample_bound(n, lo, hi, F, m_lo[idx], m_hi[idx]) / n
         # survivors grouped by angle, each group in decreasing u
         order = np.flatnonzero(u >= floor[r])
         order = order[np.argsort(-u[order])]
         order = order[np.argsort(r[order], kind="stable")]
-        r, k, u, lo, hi = r[order], k[order], u[order], lo[order], hi[order]
+        r, col, u, lo, hi = r[order], col[order], u[order], lo[order], hi[order]
         count = np.bincount(r, minlength=A)
         start = np.cumsum(count) - count
         rows = np.flatnonzero(count)
@@ -345,12 +427,12 @@ def _matched_codebook_sweep(n: int, centers: np.ndarray, sines: np.ndarray,
             ok = u[i] >= best[rows] - PROBE_TOL * np.maximum(best[rows], 1.0)
             rows, i = rows[ok], i[ok]
             v = _windowed_min(n, lo[i], hi[i], F) / n
-            g[rows, cols[k[i]]] = v
+            g[rows, col[i]] = v
             best[rows] = np.maximum(best[rows], v)
             swept += rows.size
             visit += 1
             rows = rows[count[rows] > visit]
-        if 2 * radius + 1 >= L:
+        if full:
             break
         # skipped beams sit at least (radius+1) spacings away on the circle;
         # every window point is `raw` or more from their centers
@@ -365,6 +447,7 @@ def _matched_codebook_sweep(n: int, centers: np.ndarray, sines: np.ndarray,
         ok |= (window >= 2.0 / n) & (raw >= 2.0 / n) & (residue <= cap)
         if np.all(ok):
             break
+        inner = radius
         radius *= 2
     log.debug("matched path (response-vector codebook recognised): %d beams x %d "
               "angles, %d of %d candidate pairs given the full band minimum, "
@@ -457,9 +540,7 @@ def _per_zone_worst(cfg: SystemConfig, cb: Codebook,
     weights, HORNER_ROWS rows at a time so the accumulator stays in cache;
     no N x M matrix is formed.
     """
-    bounds = cb.partition.boundaries
-    lo, hi = np.array([virtual_interval(cfg, bounds[l], bounds[l + 1])
-                       for l in range(len(cb))]).T
+    lo, hi = zone_intervals(cfg, cb.partition.boundaries, "banded").T
     if centers is not None:
         return _windowed_min(cfg.N, lo - centers, hi - centers, ZONE_GRID) / cfg.N
     grid = np.ascontiguousarray(np.linspace(lo, hi, ZONE_GRID, axis=1))

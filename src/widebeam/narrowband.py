@@ -39,8 +39,7 @@ class NarrowbandAnalysis:
 def narrowband_codebook(cfg: SystemConfig) -> Codebook:
     """Response vectors at sine-space centers (2l-1)/L - 1, uniform sine zones."""
     centers = (2.0 * np.arange(1, cfg.L + 1) - 1.0) / cfg.L - 1.0
-    weights = steering_composite(cfg.N, centers) / np.sqrt(cfg.N)
-    beams = tuple(BeamVector(w) for w in weights)
+    beams = BeamVector.rows(steering_composite(cfg.N, centers) / np.sqrt(cfg.N))
     partition = divide_zones(replace(cfg, B=0.0))
     return Codebook.assemble(beams, partition, cfg, solver_cfg=None,
                              kind="narrowband")

@@ -77,14 +77,23 @@ def virtual_interval(cfg: SystemConfig, phi_lo: float, phi_hi: float) -> tuple[f
 def zone_intervals(cfg: SystemConfig, boundaries: np.ndarray, mapping: str) -> np.ndarray:
     """(lower, upper) interval of every zone, shape (L, 2).
 
-    "banded" takes each zone's image over cfg's band (virtual_interval);
+    "banded" takes each zone's image over cfg's band, as virtual_interval
+    does for one zone;
     "sine" takes the sines of its edges, the image at a single frequency.
     The narrowband codebook pairs a "sine" partition with a nonzero band.
     """
     if mapping == "sine":
         return np.stack([np.sin(boundaries[:-1]), np.sin(boundaries[1:])], axis=1)
-    return np.array([virtual_interval(cfg, boundaries[l], boundaries[l + 1])
-                     for l in range(boundaries.size - 1)])
+    lo, hi = boundaries[:-1], boundaries[1:]
+    bad = np.flatnonzero(~(lo < hi))
+    if bad.size:
+        raise ValueError(f"degenerate zone [{lo[bad[0]]}, {hi[bad[0]]}]")
+    # virtual_interval's three cases, zone by zone
+    plus = (cfg.f_c + cfg.B / 2) / cfg.f_c
+    minus = (cfg.f_c - cfg.B / 2) / cfg.f_c
+    s = np.sin(boundaries)
+    return np.stack([np.where(lo >= 0, minus, plus) * s[:-1],
+                     np.where(hi <= 0, minus, plus) * s[1:]], axis=1)
 
 
 def next_boundary(cfg: SystemConfig, phi_prev: float, delta_omega: float) -> float:

@@ -64,6 +64,22 @@ class TestBeamVector:
         with pytest.raises(ValueError):
             BeamVector(np.ones((2, 2), dtype=complex) / np.sqrt(2))
 
+    def test_rows_share_one_check(self):
+        block = steering_composite(8, np.linspace(-1, 1, 5)) / np.sqrt(8)
+        beams = BeamVector.rows(block)
+        assert len(beams) == 5
+        for beam, row in zip(beams, block):
+            assert np.array_equal(beam.weights, BeamVector(row).weights)
+            assert not beam.weights.flags.writeable
+        # the block is copied: the caller's array stays its own
+        assert block.flags.writeable
+        for bad in (1.0 + 1e-6, np.nan):
+            block[3, 2] *= bad
+            with pytest.raises(ValueError, match="constant-modulus"):
+                BeamVector.rows(block)
+        with pytest.raises(ValueError):
+            BeamVector.rows(block[0])
+
     @pytest.mark.parametrize("bad", [complex(np.nan, 0), complex(1, np.nan),
                                      complex(np.inf, 0)])
     def test_rejects_non_finite_weight(self, bad):

@@ -25,7 +25,9 @@ from widebeam.codebook import (
     Codebook,
     _cut_range,
     _envelope_bound,
+    _envelope_reach,
     _general_sweep,
+    _lobe_reach,
     _matched_codebook_sweep,
     _per_zone_worst,
     _phase_powers,
@@ -311,6 +313,33 @@ class TestMatchedBounds:
         assert dense.min() <= slack(bound)
         assert float(_windowed_min(n, lo, hi, f)[0]) / n <= slack(bound)
 
+    @settings(deadline=None, max_examples=400)
+    @given(**window, t=st.floats(0, 1))
+    # the far end of a window on a peak, inside the main lobe
+    @example(n=10, f=513, anchor="peak", k=0, frac=0.3, width=0.1, nudge=0.0, t=0.8)
+    @example(n=140, f=257, anchor="peak", k=1, frac=0.0, width=0.01, nudge=1.9e-9, t=0.5)
+    # no lobe value at or below the level (n=1 has no main lobe): nothing dropped
+    @example(n=1, f=2, anchor="peak", k=0, frac=0.0, width=2.0, nudge=0.0, t=0.0)
+    def test_reaches_drop_only_windows_below_the_level(self, n, f, anchor, k, frac, width,
+                                                       nudge, t):
+        lo, hi = window_near(n, anchor, k, frac, width, nudge)
+        h = (hi - lo) / (f - 1)
+        dense = dirichlet_power(np.append(lo + np.arange(f) * h, hi), n) / n
+        slack = lambda b: b + PROBE_TOL * max(b, 1.0)
+        level = np.array([t * n])
+        # the peak nearest the window, the window's distance from it and
+        # its far end's
+        peak = 2.0 * np.floor(hi[0] / 2.0)
+        if lo[0] - peak > peak + 2.0 - hi[0]:
+            peak += 2.0
+        d = max(lo[0] - peak, peak - hi[0], 0.0)
+        far = max(peak - lo[0], hi[0] - peak)
+        if d > _envelope_reach(n, level)[0]:
+            assert dense.max() <= slack(level[0])
+        if _lobe_reach(n, level)[0] <= far <= 2.0 / n:
+            assert dense.min() <= slack(level[0])
+            assert float(_windowed_min(n, lo, hi, f)[0]) / n <= slack(level[0])
+
     @settings(deadline=None, max_examples=300)
     @given(**window)
     def test_two_sample_bound_is_never_below_the_windowed_min(self, n, f, anchor, k, frac,
@@ -362,6 +391,9 @@ class TestMatchedSweepExactness:
            extra=st.lists(st.floats(-1, 1), max_size=4))
     # the Prop. 1 zero regime: N=140, L=200, B=18 GHz at f_c=140 GHz
     @example(n=140, l=200, f=257, b2=9e9 / 140e9, n_sines=400, n_edges=20,
+             n_near=20, seed=1, extra=[])
+    # the main-lobe reach drops most candidates: N=10, L=200, B=18 GHz
+    @example(n=10, l=200, f=257, b2=9e9 / 140e9, n_sines=400, n_edges=20,
              n_near=20, seed=1, extra=[])
     # fewer beams than antennas
     @example(n=64, l=20, f=33, b2=5e9 / 140e9, n_sines=200, n_edges=20,
@@ -572,6 +604,13 @@ class TestEvaluateLog:
         ref_gains, ref_winner = unpruned_matched_sweep(cfg.N, centers, sines, scale)
         assert np.array_equal(report.gains, ref_gains)
         assert np.array_equal(report.best_indices - 1, ref_winner)
+
+    def test_main_lobe_reach_drops_the_flank_before_any_bound(self, caplog):
+        # at N=10 most candidates lie on the main lobe's flank below the home
+        # beam's minimum: the reach drops them without the two-sample bound
+        cfg = SystemConfig(f_c=140e9, B=18e9, N=10, L=200)
+        got = self.matched_counts(caplog, cfg)
+        assert got["bounded"] < 0.01 * got["pairs"]
 
     def test_general_path_counts_swept_pairs(self, caplog, cfg16):
         book = build_codebook(cfg16)

@@ -113,6 +113,20 @@ def test_division_closes_for_any_shape(L, B):
     assert np.abs(widths - part.delta_omega).max() <= 1e-9
 
 
+@pytest.mark.parametrize("L,B", [(1, 10e9), (32, 10e9), (33, 2e9), (200, 18e9)])
+def test_banded_intervals_match_the_zone_by_zone_loop(L, B):
+    cfg = make(L, B)
+    rng = np.random.default_rng(L)
+    # a partition's own boundaries, and random ones with an edge exactly at 0
+    for b in (divide_zones(cfg).boundaries,
+              np.unique(np.concatenate([rng.uniform(-np.pi / 2, np.pi / 2, L),
+                                        [-np.pi / 2, 0.0, np.pi / 2]]))):
+        loop = np.array([virtual_interval(cfg, b[l], b[l + 1]) for l in range(b.size - 1)])
+        assert np.array_equal(zone_intervals(cfg, b, "banded"), loop)
+    with pytest.raises(ValueError, match="degenerate zone"):
+        zone_intervals(cfg, np.array([-1.0, 0.2, 0.2, 1.0]), "banded")
+
+
 def test_centers_are_virtual_midpoints():
     part = divide_zones(make(32))
     c = part.centers()
