@@ -12,10 +12,7 @@ from .array_model import (
     BeamVector,
     SystemConfig,
     composite_gain,
-    delay_spread,
     dirichlet_power,
-    min_cp,
-    path_loss,
     steering_composite,
     wideband_beam_gain,
 )
@@ -31,7 +28,6 @@ from .narrowband import (
     NarrowbandAnalysis,
     aligned_beam_wideband_gain,
     narrowband_codebook,
-    narrowband_worst_case_B0,
     prop1_worst_case,
     prop2_optimal_N,
     sweep,
@@ -60,16 +56,12 @@ __all__ = [
     "aligned_beam_wideband_gain",
     "build_codebook",
     "composite_gain",
-    "delay_spread",
     "design_beam_for_aod",
     "dirichlet_power",
     "divide_zones",
     "evaluate",
-    "min_cp",
     "narrowband_codebook",
-    "narrowband_worst_case_B0",
     "next_boundary",
-    "path_loss",
     "prop1_worst_case",
     "prop2_optimal_N",
     "prop3_upper_bound",

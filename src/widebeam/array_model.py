@@ -1,4 +1,4 @@
-"""Uniform linear array model: steering vectors, beam gains, link-budget scalars.
+"""Uniform linear array model: steering vectors and beam gains.
 
 Everything downstream works in the frequency-spatial composite variable
 u = (1 + f/f_c) * sin(phi), in which the array response of a half-wavelength
@@ -12,8 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-
-C_LIGHT = 299_792_458.0  # m/s
 
 # constant-modulus tolerance on |w_i| - 1/sqrt(N)
 MODULUS_TOL = 1e-12
@@ -153,24 +151,3 @@ def dirichlet_power(u, n: int):
     uw = np.mod(u + 1.0, 2.0) - 1.0
     return (n * np.sinc(n * uw / 2.0) / np.sinc(uw / 2.0)) ** 2
 
-
-def path_loss(f_c: float, d_c: float, kappa: float = 0.0) -> float:
-    """Free-space amplitude factor with molecular absorption.
-
-    Returns c/(4*pi*f_c*d_c) * exp(-kappa*d_c/2); amplitude, not power.
-    """
-    if f_c <= 0 or d_c <= 0:
-        raise ValueError("f_c and d_c must be positive")
-    if kappa < 0:
-        raise ValueError("kappa must be non-negative")
-    return C_LIGHT / (4.0 * np.pi * f_c * d_c) * np.exp(-kappa * d_c / 2.0)
-
-
-def delay_spread(cfg: SystemConfig, phi: float) -> float:
-    """Aperture delay spread (N-1)*|sin(phi)|/(2*f_c) for half-wavelength spacing."""
-    return (cfg.N - 1) * abs(np.sin(phi)) / (2.0 * cfg.f_c)
-
-
-def min_cp(cfg: SystemConfig) -> float:
-    """Cyclic-prefix length that removes ISI at any angle: (N-1)/(2*f_c)."""
-    return (cfg.N - 1) / (2.0 * cfg.f_c)

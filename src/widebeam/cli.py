@@ -156,8 +156,17 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg, solver_cfg = load_config(args.config)
-    n_values = [int(v) for v in _parse_range(args.n_range)]
+    n_values = _parse_range(args.n_range)
+    if not all(v.is_integer() for v in n_values):
+        raise ConfigError(f"range {args.n_range!r}: N must be an integer")
+    n_values = [int(v) for v in n_values]
     b_values = _parse_range(args.b_range, scale=1e9)  # CLI takes GHz
+    try:  # check every cell before the sweep does any work
+        for n in n_values:
+            for b in b_values:
+                replace(cfg, N=n, B=b)
+    except ValueError as e:
+        raise ConfigError(f"sweep cell N={n}, B={b / 1e9:g} GHz: {e}") from e
     rows = sweep(cfg, args.what, n_values, b_values, solver_cfg)
     if args.csv is not None:
         storage.write_sweep_csv(args.csv, rows)

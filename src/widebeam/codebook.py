@@ -110,7 +110,8 @@ def build_codebook(cfg: SystemConfig, solver_cfg: alm.SolverConfig | None = None
     partition = divide_zones(cfg)
     init = prv_beam(prv_plan(cfg.N, partition.delta_omega))
     prototype, _ = alm.solve(cfg, solver_cfg, partition.delta_omega, init)
-    beams = tuple(shift_beam(prototype, c) for c in partition.centers())
+    beams = BeamVector.rows(prototype.weights
+                            * steering_composite(cfg.N, partition.centers()))
     return Codebook.assemble(beams, partition, cfg, solver_cfg, kind="wideband")
 
 

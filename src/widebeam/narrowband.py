@@ -33,7 +33,6 @@ class NarrowbandAnalysis:
     worst_case_gain: float
     worst_aod: float
     nonzero_condition_holds: bool
-    optimal_N_candidates: tuple[int, int]
 
 
 def narrowband_codebook(cfg: SystemConfig) -> Codebook:
@@ -43,16 +42,6 @@ def narrowband_codebook(cfg: SystemConfig) -> Codebook:
     partition = divide_zones(replace(cfg, B=0.0))
     return Codebook.assemble(beams, partition, cfg, solver_cfg=None,
                              kind="narrowband")
-
-
-def narrowband_worst_case_B0(cfg: SystemConfig) -> float:
-    """Worst-case gain of the codebook when the band collapses to a point.
-
-    The worst user sits half a beam spacing off a center:
-    [sin(N pi/2L) / (sqrt(N) sin(pi/2L))]^2.  Assumes the usual L >= N
-    operating regime (the config warns otherwise).
-    """
-    return float(dirichlet_power(1.0 / cfg.L, cfg.N) / cfg.N)
 
 
 def _prop1_gain(f_c: float, b: float, n: int, l: int) -> float:
@@ -77,7 +66,6 @@ def prop1_worst_case(cfg: SystemConfig) -> NarrowbandAnalysis:
         worst_case_gain=gain,
         worst_aod=np.pi / 2,
         nonzero_condition_holds=bool(holds),
-        optimal_N_candidates=prop2_optimal_N(cfg.f_c, cfg.B, cfg.L)[0],
     )
 
 

@@ -14,11 +14,11 @@ also names the zone `intervals` mapping, which the reader of a version 1
 file has to guess from `delta_omega`.  Both versions are read; only version
 2 is written.
 
-Rows are written from one `%.17g` template and checked and stored one row
-at a time, so neither side runs a Python loop per weight.  Every number
-must be a finite JSON number that fits a double.  The reader validates
-structure before constructing anything and reports the JSON pointer of the
-first offending field in document order.
+The writer fills each row from one `%.17g` template; the reader checks a
+row one weight at a time (a shift book has one row, `reference_beam`).
+Every number must be a finite JSON number that fits a double.  The
+reader validates structure before constructing anything and reports the
+JSON pointer of the first offending field in document order.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from itertools import chain
 
 import numpy as np
 
@@ -118,41 +117,6 @@ def _number(value, pointer: str) -> float:
     return x
 
 
-_NUMBER_TYPES = {float, int}  # exact types, so bools are rejected
-
-
-def _fill_row(row: list, n: int, out: np.ndarray) -> bool:
-    """Copy a list of n `[re, im]` pairs into `out` (2n doubles).
-
-    Returns False, with `out` unspecified, when any check fails: a pair is
-    not a list of two, a value is not a JSON number, or a value is not
-    finite as a double.  Every check runs at C speed over the whole row.
-    """
-    if set(map(type, row)) != {list} or set(map(len, row)) != {2}:
-        return False
-    flat = list(chain.from_iterable(row))
-    if not set(map(type, flat)) <= _NUMBER_TYPES:
-        return False
-    try:
-        out[:] = flat
-    except OverflowError:
-        return False
-    return bool(np.isfinite(out).all())
-
-
-def _row_fault(row, n: int, pointer: str) -> None:
-    """Raise at the first field of a row that `_fill_row` rejected."""
-    _require(isinstance(row, list), pointer, "expected a list")
-    _require(len(row) == n, pointer, f"expected {n} weights for n={n}")
-    for k, pair in enumerate(row):
-        _require(isinstance(pair, list) and len(pair) == 2,
-                 f"{pointer}/{k}", "expected an [re, im] pair")
-        _number(pair[0], f"{pointer}/{k}/0")
-        _number(pair[1], f"{pointer}/{k}/1")
-    # _fill_row rejects exactly the rows with one of the faults above
-    raise CodebookFormatError(pointer, "malformed beam row")
-
-
 def _json_int(literal: str):
     # `%.17g` writes -0.0 as `-0`; json would read that as the integer 0
     return -0.0 if literal == "-0" else int(literal)
@@ -160,12 +124,15 @@ def _json_int(literal: str):
 
 def _weight_row(row, n: int, pointer: str) -> np.ndarray:
     """One checked `[[re, im], ...]` row of n constant-modulus weights."""
-    # size the vector by n only once the row has been seen to hold n pairs
-    if not (isinstance(row, list) and len(row) == n):
-        _row_fault(row, n, pointer)
-    w = np.empty(n, dtype=complex)
-    if not _fill_row(row, n, w.view(np.float64)):
-        _row_fault(row, n, pointer)
+    _require(isinstance(row, list), pointer, "expected a list")
+    _require(len(row) == n, pointer, f"expected {n} weights for n={n}")
+    flat = []
+    for k, pair in enumerate(row):
+        _require(isinstance(pair, list) and len(pair) == 2,
+                 f"{pointer}/{k}", "expected an [re, im] pair")
+        flat.append(_number(pair[0], f"{pointer}/{k}/0"))
+        flat.append(_number(pair[1], f"{pointer}/{k}/1"))
+    w = np.array(flat).view(complex)
     dev = np.abs(np.abs(w) - 1.0 / np.sqrt(n)).max()
     _require(dev <= MODULUS_TOL, pointer,
              f"constant-modulus violation (max deviation {dev:.3e})")
@@ -216,8 +183,9 @@ def parse_codebook(text: str) -> tuple[Codebook, SystemConfig]:
     _require(0 <= b < 2 * f_c, "/config/b_hz", "must satisfy 0 <= b < 2*f_c")
     n = conf.get("n")
     l = conf.get("l")
-    _require(isinstance(n, int) and n >= 1, "/config/n", "expected integer >= 1")
-    _require(isinstance(l, int) and l >= 1, "/config/l", "expected integer >= 1")
+    # exact ints: isinstance would take a JSON true as 1
+    _require(type(n) is int and n >= 1, "/config/n", "expected integer >= 1")
+    _require(type(l) is int and l >= 1, "/config/l", "expected integer >= 1")
 
     delta = _number(doc.get("delta_omega"), "/delta_omega")
     _require(delta > 0, "/delta_omega", "must be positive")
@@ -245,7 +213,7 @@ def parse_codebook(text: str) -> tuple[Codebook, SystemConfig]:
         _require(len(beams_doc) == l, "/beams", f"expected {l} beams for l={l}")
         weights = np.array([_weight_row(row, n, f"/beams/{i}")
                             for i, row in enumerate(beams_doc)])
-    beams = [BeamVector(w) for w in weights]
+    beams = BeamVector.rows(weights)
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # a stored L < N file is still readable
@@ -254,7 +222,7 @@ def parse_codebook(text: str) -> tuple[Codebook, SystemConfig]:
         widths = np.diff(zone_intervals(cfg, bvals, "banded"), axis=1)[:, 0]
         mapping = "banded" if np.abs(widths - delta).max() <= 1e-9 else "sine"
     partition = ZonePartition(bvals, delta, zone_intervals(cfg, bvals, mapping), mapping)
-    cb = Codebook.assemble(tuple(beams), partition, cfg, solver_cfg=None, kind="loaded")
+    cb = Codebook.assemble(beams, partition, cfg, solver_cfg=None, kind="loaded")
     return cb, cfg
 
 

@@ -9,10 +9,7 @@ from widebeam.array_model import (
     BeamVector,
     SystemConfig,
     composite_gain,
-    delay_spread,
     dirichlet_power,
-    min_cp,
-    path_loss,
     steering_composite,
     wideband_beam_gain,
 )
@@ -154,21 +151,3 @@ class TestGains:
         g = composite_gain(w, np.array([u]))[0]
         assert -1e-12 <= g <= n * (1 + 1e-12)
 
-
-class TestLinkBudget:
-    def test_path_loss_value(self):
-        # frozen: c/(4*pi*140e9*10) at kappa=0
-        assert path_loss(140e9, 10.0) == pytest.approx(1.70405184258462e-05, rel=1e-12)
-        assert path_loss(140e9, 10.0, kappa=0.1) == pytest.approx(
-            1.70405184258462e-05 * np.exp(-0.5), rel=1e-12)
-
-    def test_path_loss_validation(self):
-        with pytest.raises(ValueError):
-            path_loss(0.0, 10.0)
-        with pytest.raises(ValueError):
-            path_loss(140e9, 10.0, kappa=-1.0)
-
-    def test_delay_spread_and_cp(self, cfg16):
-        assert delay_spread(cfg16, np.pi / 2) == pytest.approx(15 / 280e9, rel=1e-12)
-        assert delay_spread(cfg16, 0.0) == 0.0
-        assert min_cp(cfg16) == pytest.approx(15 / 280e9, rel=1e-12)

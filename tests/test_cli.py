@@ -183,6 +183,23 @@ class TestSweepFlow:
                      "--b-range", "10"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_range, b_range, message", [
+        ("0,8", "10", "N must be >= 1"),
+        ("8.7", "10", "N must be an integer"),
+        ("8:9:0.5", "10", "N must be an integer"),
+        ("8", "300", "B must satisfy"),
+        ("8", "-1", "B must satisfy"),
+        ("8", "nan", "B must satisfy"),
+    ])
+    def test_out_of_range_cells_are_config_errors(self, small_config, capsys,
+                                                  n_range, b_range, message):
+        assert main(["sweep", small_config, "--n-range", n_range,
+                     "--b-range", b_range]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and message in captured.err
+        assert len(captured.err.splitlines()) == 1
+
 
 class TestValidateFlow:
     def test_reference_checks_pass(self, small_config, capsys):
@@ -220,6 +237,19 @@ class TestFailureModes:
         capsys.readouterr()
         assert main(["eval", str(book)]) == 1
         assert "/beams/2/1/0: expected a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["n", "l"])
+    def test_bool_size_in_a_codebook_is_a_config_error(self, small_config, tmp_path,
+                                                       capsys, key):
+        book = tmp_path / "cb.json"
+        assert main(["baseline", small_config, "--out", str(book)]) == 0
+        doc = json.loads(book.read_text(encoding="utf-8"))
+        doc["config"][key] = True
+        book.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["eval", str(book)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: /config/{key}: expected integer >= 1\n")
 
     def test_solver_failure_exits_three(self, small_config, tmp_path, capsys,
                                         monkeypatch):

@@ -17,6 +17,7 @@ from widebeam import (
     prop1_worst_case,
     sweep,
 )
+from widebeam.alm import SolverConfig, solve
 from widebeam.array_model import BeamVector, composite_gain, dirichlet_power, steering_composite
 from widebeam.codebook import (
     GUARD_FLOOR,
@@ -35,6 +36,7 @@ from widebeam.codebook import (
     _windowed_min,
     shift_beam,
 )
+from widebeam.prv import prv_beam, prv_plan
 from widebeam.zones import divide_zones, prop3_upper_bound, virtual_interval
 
 
@@ -141,6 +143,15 @@ class TestAssembly:
         report = evaluate(cfg16, build_codebook(cfg16))
         assert report.per_zone.shape == (32,)
         assert np.ptp(report.per_zone) < 1e-6 * 16
+
+    def test_beams_are_the_prototype_shifted_to_each_center(self, cfg16):
+        # the one block product is bitwise the per-center shift_beam loop
+        partition = divide_zones(cfg16)
+        init = prv_beam(prv_plan(16, partition.delta_omega))
+        prototype, _ = solve(cfg16, SolverConfig(), partition.delta_omega, init)
+        book = build_codebook(cfg16)
+        for beam, c in zip(book.beams, partition.centers(), strict=True):
+            assert beam.weights.tobytes() == shift_beam(prototype, c).weights.tobytes()
 
     def test_deterministic_rebuild(self, cfg16):
         a = build_codebook(cfg16)

@@ -6,12 +6,7 @@ import pytest
 from widebeam import SystemConfig, narrowband_codebook, prop1_worst_case, prop2_optimal_N
 from widebeam import narrowband
 from widebeam.array_model import composite_gain, dirichlet_power, steering_composite
-from widebeam.narrowband import (
-    N_STAR_COEFF,
-    X_STAR,
-    aligned_beam_wideband_gain,
-    narrowband_worst_case_B0,
-)
+from widebeam.narrowband import N_STAR_COEFF, X_STAR, aligned_beam_wideband_gain
 
 
 def cfg(n=16, l=32, b=10e9):
@@ -44,12 +39,12 @@ class TestCodebook:
 class TestZeroBandWorstCase:
     def test_is_the_edge_of_a_beam(self):
         c = cfg(n=16, l=200, b=0.0)
-        assert narrowband_worst_case_B0(c) == pytest.approx(
+        assert prop1_worst_case(c).worst_case_gain == pytest.approx(
             dirichlet_power(1.0 / 200, 16) / 16, rel=1e-15)
 
     def test_frozen_value(self):
-        assert narrowband_worst_case_B0(cfg(n=16, l=200, b=0.0)) == pytest.approx(
-            15.9162837665142, abs=1e-10)
+        got = prop1_worst_case(cfg(n=16, l=200, b=0.0)).worst_case_gain
+        assert got == pytest.approx(15.9162837665142, abs=1e-10)
 
     def test_agrees_with_dense_sweep(self):
         c = cfg(n=16, l=64, b=0.0)
@@ -58,7 +53,7 @@ class TestZeroBandWorstCase:
         sines = np.linspace(-1, 1, 8193)
         gains = np.abs(W @ np.exp(-1j * np.pi * np.outer(np.arange(16), sines))) ** 2
         sweep_worst = gains.max(axis=0).min()
-        assert sweep_worst == pytest.approx(narrowband_worst_case_B0(c), rel=1e-2)
+        assert sweep_worst == pytest.approx(prop1_worst_case(c).worst_case_gain, rel=1e-2)
 
 
 class TestWorstCaseWithSquint:

@@ -401,6 +401,15 @@ def _zero_l(d):
     d["config"]["l"] = 0
 
 
+def _bool_n(d):
+    d["config"]["n"] = True
+
+
+def _bool_l(d):
+    # isinstance(True, int) holds; a true must not read as a one-zone book
+    d["config"]["l"] = True
+
+
 def _negative_delta(d):
     d["delta_omega"] = -0.1
 
@@ -470,6 +479,8 @@ class TestParseErrors:
         (_band_too_wide, "/config/b_hz"),
         (_fractional_n, "/config/n"),
         (_zero_l, "/config/l"),
+        (_bool_n, "/config/n"),
+        (_bool_l, "/config/l"),
         (_huge_n, "/beams/0"),
         (_negative_delta, "/delta_omega"),
         (_short_boundaries, "/boundaries_rad"),
