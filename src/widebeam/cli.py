@@ -2,8 +2,8 @@
 
 All file artifacts (codebook JSON, CSV tables) are deterministic functions
 of the config and seed; stdout carries human-oriented summaries including
-wall time.  Exit codes: 0 success, 1 invalid config or file content,
-2 I/O failure, 3 solver failure.
+wall time.  main() maps every command's failures to exit codes: 0 success,
+1 invalid config or file content, 2 I/O failure, 3 solver failure.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .alm import SolverConfig
 from .array_model import SystemConfig, composite_gain, steering_composite
 from .codebook import build_codebook, evaluate
 from .narrowband import sweep
-from .zones import divide_zones, prop3_upper_bound
+from .zones import PartitionLimitError, divide_zones, prop3_upper_bound
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -109,34 +109,17 @@ def _parse_range(spec: str, scale: float = 1.0) -> list[float]:
     return [v * scale for v in out]
 
 
-def _print_design_summary(delta_omega: float, worst: float, t0: float) -> None:
-    print(f"delta_omega = {delta_omega:.12g}")
-    print(f"upper_bound = {2.0 / delta_omega:.12g}")
-    print(f"worst_case = {worst:.12g}")
-    print(f"wall_time_s = {time.perf_counter() - t0:.3f}")
-
-
 def cmd_design(args) -> int:
+    """design and baseline: build with the subcommand's builder, evaluate, write."""
     t0 = time.perf_counter()
     cfg, solver_cfg = load_config(args.config)
-    try:
-        book = build_codebook(cfg, solver_cfg)
-    except RuntimeError as e:
-        print(f"solver failure: {e}", file=sys.stderr)
-        return EXIT_SOLVER
+    book = args.build(cfg, solver_cfg)
     report = evaluate(cfg, book, mode="grid")
     storage.write_codebook(args.out, book)
-    _print_design_summary(book.partition.delta_omega, report.worst_case, t0)
-    return EXIT_OK
-
-
-def cmd_baseline(args) -> int:
-    t0 = time.perf_counter()
-    cfg, _ = load_config(args.config)
-    book = narrowband.narrowband_codebook(cfg)
-    report = evaluate(cfg, book, mode="grid")
-    storage.write_codebook(args.out, book)
-    _print_design_summary(book.partition.delta_omega, report.worst_case, t0)
+    print(f"delta_omega = {book.partition.delta_omega:.12g}")
+    print(f"upper_bound = {prop3_upper_bound(book.partition):.12g}")
+    print(f"worst_case = {report.worst_case:.12g}")
+    print(f"wall_time_s = {time.perf_counter() - t0:.3f}")
     return EXIT_OK
 
 
@@ -185,7 +168,7 @@ def _check_prop1(cfg: SystemConfig) -> bool:
 
 def _check_prop2(cfg: SystemConfig) -> bool:
     (lo, hi), _ = narrowband.prop2_optimal_N(cfg.f_c, cfg.B, cfg.L)
-    n_max = int(np.ceil(4.0 * cfg.f_c * cfg.L / (2.0 * cfg.f_c + cfg.B * cfg.L)))
+    n_max = int(np.ceil(narrowband.prop1_zero_limit(cfg.f_c, cfg.B, cfg.L)))
     gains = [narrowband._prop1_gain(cfg.f_c, cfg.B, n, cfg.L)
              for n in range(1, n_max)]
     best_n = 1 + int(np.argmax(gains))
@@ -243,15 +226,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    d = sub.add_parser("design", help="run the full design pipeline")
-    d.add_argument("config", help="JSON config path")
-    d.add_argument("--out", default="codebook.json", help="output codebook path")
-    d.set_defaults(run=cmd_design)
-
-    b = sub.add_parser("baseline", help="emit the narrowband codebook")
-    b.add_argument("config", help="JSON config path")
-    b.add_argument("--out", default="baseline.json", help="output codebook path")
-    b.set_defaults(run=cmd_baseline)
+    for name, help_, out, build in (
+        ("design", "run the full design pipeline", "codebook.json", build_codebook),
+        ("baseline", "emit the narrowband codebook", "baseline.json",
+         lambda cfg, _: narrowband.narrowband_codebook(cfg)),
+    ):
+        d = sub.add_parser(name, help=help_)
+        d.add_argument("config", help="JSON config path")
+        d.add_argument("--out", default=out, help="output codebook path")
+        d.set_defaults(run=cmd_design, build=build)
 
     e = sub.add_parser("eval", help="evaluate a stored codebook")
     e.add_argument("codebook", help="codebook JSON path")
@@ -281,12 +264,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except (ConfigError, storage.CodebookFormatError) as e:
+    except (ConfigError, storage.CodebookFormatError, PartitionLimitError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return EXIT_IO
+    except RuntimeError as e:
+        print(f"solver failure: {e}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

@@ -34,7 +34,7 @@ from . import alm
 from .array_model import (BeamVector, SystemConfig, dirichlet_power,
                           steering_composite)
 from .prv import prv_beam, prv_plan
-from .zones import ZonePartition, divide_zones, zone_intervals
+from .zones import ZonePartition, divide_zones, sine_centers, zone_intervals
 
 ZONE_GRID = 1025        # per-zone virtual grid for local worst cases
 GUARD_FLOOR = 5e-4      # matched-sweep gains below this may miss a skipped far beam
@@ -103,13 +103,20 @@ def shift_beam(w: BeamVector, t: float) -> BeamVector:
     return BeamVector(w.weights * steering_composite(w.n, float(t)))
 
 
+def _prototype(cfg: SystemConfig, solver_cfg: alm.SolverConfig | None,
+               width: float) -> BeamVector:
+    """The wide beam for a centred window of the given width: the prv
+    initializer, then the solver (its default settings when None)."""
+    init = prv_beam(prv_plan(cfg.N, width))
+    prototype, _ = alm.solve(cfg, solver_cfg or alm.SolverConfig(), width, init)
+    return prototype
+
+
 def build_codebook(cfg: SystemConfig, solver_cfg: alm.SolverConfig | None = None) -> Codebook:
-    """Full pipeline: partition, wide-beam initializer, solver, zone shifts."""
-    if solver_cfg is None:
-        solver_cfg = alm.SolverConfig()
+    """Full pipeline: partition, wide-beam prototype, zone shifts."""
+    solver_cfg = solver_cfg or alm.SolverConfig()
     partition = divide_zones(cfg)
-    init = prv_beam(prv_plan(cfg.N, partition.delta_omega))
-    prototype, _ = alm.solve(cfg, solver_cfg, partition.delta_omega, init)
+    prototype = _prototype(cfg, solver_cfg, partition.delta_omega)
     beams = BeamVector.rows(prototype.weights
                             * steering_composite(cfg.N, partition.centers()))
     return Codebook.assemble(beams, partition, cfg, solver_cfg, kind="wideband")
@@ -126,12 +133,8 @@ def design_beam_for_aod(cfg: SystemConfig, solver_cfg: alm.SolverConfig | None,
     """
     if not abs(phi) <= np.pi / 2:
         raise ValueError(f"phi={phi} outside [-pi/2, pi/2]")
-    if solver_cfg is None:
-        solver_cfg = alm.SolverConfig()
     s = float(np.sin(phi))
-    width = (cfg.B / cfg.f_c) * abs(s)
-    prototype, _ = alm.solve(cfg, solver_cfg, width, prv_beam(prv_plan(cfg.N, width)))
-    return shift_beam(prototype, s)
+    return shift_beam(_prototype(cfg, solver_cfg, (cfg.B / cfg.f_c) * abs(s)), s)
 
 
 def _matched_centers(cfg: SystemConfig, cb: Codebook) -> np.ndarray | None:
@@ -147,7 +150,7 @@ def _matched_centers(cfg: SystemConfig, cb: Codebook) -> np.ndarray | None:
     expected_bounds = -1.0 + 2.0 * np.arange(L + 1) / L
     if np.abs(np.sin(cb.partition.boundaries) - expected_bounds).max() > 1e-9:
         return None
-    centers = (2.0 * np.arange(1, L + 1) - 1.0) / L - 1.0
+    centers = sine_centers(L)
     weights = np.stack([w.weights for w in cb.beams])
     if np.abs(weights - _phase_powers(cfg.N, -centers).T / np.sqrt(cfg.N)).max() > 1e-9:
         return None
@@ -189,8 +192,6 @@ def _windowed_min(n: int, lo: np.ndarray, hi: np.ndarray, n_samp: int) -> np.nda
     adjacent to one of those cut points.  Only those samples are
     evaluated, a handful per window instead of n_samp.
     """
-    if n_samp <= 1:
-        return dirichlet_power(lo, n)
     shape = np.shape(lo)
     lo = np.ravel(lo)
     hi = np.ravel(hi)
@@ -443,7 +444,7 @@ def _matched_codebook_sweep(n: int, centers: np.ndarray, sines: np.ndarray,
         cap = np.maximum(best, GUARD_FLOOR)
         ok = envelope <= cap
         window = 2.0 * b2 * np.abs(sines)
-        step = window / max(F - 1, 1)
+        step = window / (F - 1)
         residue = envelope * (n * np.pi * step / 4.0) ** 2
         ok |= (window >= 2.0 / n) & (raw >= 2.0 / n) & (residue <= cap)
         if np.all(ok):

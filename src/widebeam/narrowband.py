@@ -18,7 +18,7 @@ import numpy as np
 from .alm import SolverConfig
 from .array_model import SystemConfig, BeamVector, dirichlet_power, steering_composite
 from .codebook import Codebook, build_codebook, evaluate
-from .zones import divide_zones, prop3_upper_bound
+from .zones import divide_zones, prop3_upper_bound, sine_centers
 
 # argmax location of sin(Nx)^2 / (N sin(x)^2): the root of tan x = 2x in
 # (0, pi], and the rounded coefficient 4x/pi used for the candidate formula
@@ -31,22 +31,24 @@ class NarrowbandAnalysis:
     """Worst-case summary of the narrowband codebook in a wideband system."""
 
     worst_case_gain: float
-    worst_aod: float
-    nonzero_condition_holds: bool
 
 
 def narrowband_codebook(cfg: SystemConfig) -> Codebook:
     """Response vectors at sine-space centers (2l-1)/L - 1, uniform sine zones."""
-    centers = (2.0 * np.arange(1, cfg.L + 1) - 1.0) / cfg.L - 1.0
-    beams = BeamVector.rows(steering_composite(cfg.N, centers) / np.sqrt(cfg.N))
+    beams = BeamVector.rows(steering_composite(cfg.N, sine_centers(cfg.L)) / np.sqrt(cfg.N))
     partition = divide_zones(replace(cfg, B=0.0))
     return Codebook.assemble(beams, partition, cfg, solver_cfg=None,
                              kind="narrowband")
 
 
+def prop1_zero_limit(f_c: float, b: float, l: int) -> float:
+    """Element count 4 f_c L / (2 f_c + B L) from which the worst case is zero."""
+    return 4.0 * f_c * l / (2.0 * f_c + b * l)
+
+
 def _prop1_gain(f_c: float, b: float, n: int, l: int) -> float:
     """Scalar core of the wideband worst-case closed form."""
-    if n >= 4.0 * f_c * l / (2.0 * f_c + b * l):
+    if n >= prop1_zero_limit(f_c, b, l):
         return 0.0
     u = (2.0 * f_c + b * l) / (2.0 * f_c * l)
     return float(dirichlet_power(u, n) / n)
@@ -55,18 +57,11 @@ def _prop1_gain(f_c: float, b: float, n: int, l: int) -> float:
 def prop1_worst_case(cfg: SystemConfig) -> NarrowbandAnalysis:
     """Closed-form wideband worst case of the narrowband codebook.
 
-    Zero when N >= 4 f_c L / (2 f_c + B L): past that element count the
-    worst-case composite offset reaches the first pattern null and the edge
-    user gets no gain at the band edge.  The worst AoD is reported as +pi/2
-    (the -pi/2 mirror is equivalent by symmetry).
+    Zero when N >= prop1_zero_limit: past that element count the worst-case
+    composite offset reaches the first pattern null and the edge user gets
+    no gain at the band edge.  The worst user sits at +-pi/2.
     """
-    holds = cfg.N < 4.0 * cfg.f_c * cfg.L / (2.0 * cfg.f_c + cfg.B * cfg.L)
-    gain = _prop1_gain(cfg.f_c, cfg.B, cfg.N, cfg.L)
-    return NarrowbandAnalysis(
-        worst_case_gain=gain,
-        worst_aod=np.pi / 2,
-        nonzero_condition_holds=bool(holds),
-    )
+    return NarrowbandAnalysis(worst_case_gain=_prop1_gain(cfg.f_c, cfg.B, cfg.N, cfg.L))
 
 
 def aligned_beam_wideband_gain(cfg: SystemConfig, phi_m: float, phi: float) -> float:

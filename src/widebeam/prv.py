@@ -45,10 +45,11 @@ def prv_plan(n: int, delta_omega: float) -> PrvPlan:
 
     A single response vector covers up to 2/n, so delta_omega <= 2/n keeps
     Z = 1.  Beyond that Z is the smallest divisor of n with
-    Z >= sqrt(delta_omega*n/2) (Z = n always qualifies): the smallest split
-    keeps sub-arrays long and per-direction gain high, while the square-root
-    floor guarantees Z slices of width delta_omega/Z fit the 2Z/n sub-array
-    beamwidth.
+    Z >= sqrt(delta_omega*n/2): the smallest split keeps sub-arrays long
+    and per-direction gain high, while the square-root floor guarantees Z
+    slices of width delta_omega/Z fit the 2Z/n sub-array beamwidth.  Z = n
+    qualifies while delta_omega <= 2n; a wider window, which a zone
+    partition gives only at n = 1 and L = 1, takes Z = n as well.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -58,7 +59,7 @@ def prv_plan(n: int, delta_omega: float) -> PrvPlan:
         Z = 1
     else:
         z_min = np.sqrt(delta_omega * n / 2.0)
-        Z = next(z for z in range(1, n + 1) if n % z == 0 and z >= z_min)
+        Z = next((z for z in range(1, n + 1) if n % z == 0 and z >= z_min), n)
     N_s = n // Z
     z = np.arange(1, Z + 1)
     pointing = -delta_omega / 2 + (2 * z - 1) * delta_omega / (2 * Z)

@@ -54,6 +54,12 @@ class ZonePartition:
         return self.intervals.mean(axis=1)
 
 
+def sine_centers(L: int) -> np.ndarray:
+    """Midpoints (2l-1)/L - 1, l = 1..L, of the L uniform sine zones: where
+    the narrowband codebook points its beams."""
+    return (2.0 * np.arange(1, L + 1) - 1.0) / L - 1.0
+
+
 def virtual_interval(cfg: SystemConfig, phi_lo: float, phi_hi: float) -> tuple[float, float]:
     """Image of an angular zone under the composite variable, over the band.
 
@@ -104,8 +110,8 @@ def next_boundary(cfg: SystemConfig, phi_prev: float, delta_omega: float) -> flo
     sentinels are monotone in delta_omega, which keeps the bisection on a
     single increasing branch with no special cases.  A return value of
     pi/2 or more before the chain's last step L means the trial width is too
-    large: the remaining zones would be empty, so `_terminal_boundary`
-    counts it as an overshoot, never as a closure.
+    large: the remaining zones would be empty, so `_walk` counts it as an
+    overshoot, never as a closure.
     """
     s = np.sin(phi_prev)
     fc, B = cfg.f_c, cfg.B
@@ -122,22 +128,26 @@ def next_boundary(cfg: SystemConfig, phi_prev: float, delta_omega: float) -> flo
     return float(np.arcsin(a))
 
 
-def _terminal_boundary(cfg: SystemConfig, delta_omega: float) -> float:
-    """phi_L after L recursion steps from -pi/2; sentinels short-circuit.
+def _walk(cfg: SystemConfig, delta_omega: float) -> list[float]:
+    """The chain phi_0 = -pi/2, phi_1, ... at a trial width; the bisection reads its end.
 
-    A chain that saturates at pi/2 on step l < L closes early: the width is
-    too large, whatever the excess.  It returns the sentinel plus the L - l
-    zones left empty, which keeps it clear of the closure tolerance and on
-    the overshoot side of the bisection.
+    The chain stops at a sentinel below -pi/2, or at pi/2 or more on a step
+    l < L: the width is then too large, whatever the excess, and the last
+    entry adds the L - l zones left empty, which keeps it clear of the
+    closure tolerance and on the overshoot side of the bisection.
     """
-    phi = -np.pi / 2
+    chain = [-np.pi / 2]
     for step in range(1, cfg.L + 1):
-        phi = next_boundary(cfg, phi, delta_omega)
-        if phi < -np.pi / 2:
-            return phi
-        if phi >= np.pi / 2 and step < cfg.L:
-            return phi + (cfg.L - step)
-    return phi
+        phi = next_boundary(cfg, chain[-1], delta_omega)
+        early = phi >= np.pi / 2 and step < cfg.L
+        chain.append(phi + (cfg.L - step) if early else phi)
+        if early or phi < -np.pi / 2:
+            break
+    return chain
+
+
+class PartitionLimitError(ValueError):
+    """The equal-width zones are too narrow for double precision."""
 
 
 def divide_zones(cfg: SystemConfig) -> ZonePartition:
@@ -146,7 +156,9 @@ def divide_zones(cfg: SystemConfig) -> ZonePartition:
     B = 0 short-circuits to the exact uniform sine partition.  Otherwise the
     width is bisected inside a bracket built from the extreme per-step sine
     increments, doubling the bracket outward if an unusual configuration
-    escapes it.
+    escapes it.  At the converged width only phi_L can leave the range, and
+    it is set to pi/2.  PartitionLimitError if the boundaries then do not
+    strictly increase.
     """
     L = cfg.L
     if cfg.B == 0:
@@ -161,7 +173,7 @@ def divide_zones(cfg: SystemConfig) -> ZonePartition:
     hi = (2.0 / L) / ratio_lo + cfg.B / cfg.f_c
     target = np.pi / 2
     for _ in range(10):
-        if _terminal_boundary(cfg, lo) <= target <= _terminal_boundary(cfg, hi):
+        if _walk(cfg, lo)[-1] <= target <= _walk(cfg, hi)[-1]:
             break
         lo *= 0.5
         hi *= 2.0
@@ -170,7 +182,7 @@ def divide_zones(cfg: SystemConfig) -> ZonePartition:
 
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        phi_L = _terminal_boundary(cfg, mid)
+        phi_L = _walk(cfg, mid)[-1]
         if abs(phi_L - target) <= CLOSURE_TOL:
             lo = hi = mid
             break
@@ -180,19 +192,20 @@ def divide_zones(cfg: SystemConfig) -> ZonePartition:
             hi = mid
     delta = 0.5 * (lo + hi)
 
-    # rebuild the boundary chain at the converged width; clip maps the
-    # sentinel a leftover 1e-12 closure error can produce back onto the range
-    boundaries = np.empty(L + 1)
-    boundaries[0] = -np.pi / 2
-    for l in range(1, L + 1):
-        boundaries[l] = np.clip(next_boundary(cfg, boundaries[l - 1], delta),
-                                -np.pi / 2, np.pi / 2)
-    boundaries[-1] = np.pi / 2
-
+    boundaries = np.array(_walk(cfg, delta)[:L] + [np.pi / 2])
+    if np.any(np.diff(boundaries) <= 0):
+        raise PartitionLimitError(
+            f"no partition into L={L} zones at B={cfg.B:g} Hz: the zones shrink "
+            f"geometrically toward pi/2, and the last ones are narrower than "
+            f"double precision resolves")
     return ZonePartition(boundaries, float(delta),
                          zone_intervals(cfg, boundaries, "banded"), "banded")
 
 
 def prop3_upper_bound(partition: ZonePartition) -> float:
-    """Worst-case gain ceiling 2/delta_omega shared by every codebook."""
-    return 2.0 / partition.delta_omega
+    """Worst-case gain ceiling 2/delta_omega shared by every codebook.
+
+    A zone image wider than 2 (only L = 1 with B > 0) spans a period of the
+    gain pattern, so the worst case is at most its mean, 1 by Parseval.
+    """
+    return 2.0 / min(partition.delta_omega, 2.0)

@@ -123,6 +123,34 @@ class TestDesignFlow:
         worst = stdout_value(capsys.readouterr().out, "worst_case")
         assert worst == pytest.approx(5.59857312575272, rel=0.02)
 
+    @pytest.mark.parametrize("command, build", [
+        ("design", widebeam.build_codebook),
+        ("baseline", lambda cfg, _: widebeam.narrowband_codebook(cfg)),
+    ])
+    def test_file_is_the_library_book(self, small_config, tmp_path, capsys,
+                                      command, build):
+        out, ref = tmp_path / "cli.json", tmp_path / "lib.json"
+        assert main([command, small_config, "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        cfg, solver_cfg = load_config(small_config)
+        book = build(cfg, solver_cfg)
+        widebeam.write_codebook(str(ref), book)
+        assert out.read_bytes() == ref.read_bytes()
+        assert printed.splitlines()[:3] == [
+            f"delta_omega = {book.partition.delta_omega:.12g}",
+            f"upper_bound = {2.0 / book.partition.delta_omega:.12g}",
+            f"worst_case = {widebeam.evaluate(cfg, book).worst_case:.12g}",
+        ]
+
+    def test_one_element_one_zone(self, write_config, tmp_path, capsys):
+        # the lone zone's image is wider than the pattern's period, so the
+        # bound is the pattern's mean, 1, which a single element attains
+        assert main(["design", write_config(n=1, l=1),
+                     "--out", str(tmp_path / "cb.json")]) == 0
+        out = capsys.readouterr().out
+        assert stdout_value(out, "worst_case") == 1.0
+        assert stdout_value(out, "upper_bound") == 1.0
+
     def test_zero_band_design_is_the_baseline_file(self, write_config, tmp_path,
                                                    capsys):
         cfgp = write_config(b_hz=0.0, n=8, l=16)
@@ -251,6 +279,20 @@ class TestFailureModes:
         assert capsys.readouterr().err == (
             f"error: /config/{key}: expected integer >= 1\n")
 
+    @pytest.mark.parametrize("overrides", [{"l": 1024}, {"b_hz": 18e9, "l": 520},
+                                           {"b_hz": 270e9, "l": 20}])
+    def test_partition_limit_is_a_config_error(self, write_config, tmp_path,
+                                               capsys, overrides):
+        cfgp = write_config(**overrides)
+        b_ghz = f"{overrides.get('b_hz', 10e9) / 1e9:g}"
+        for argv in (["design", cfgp, "--out", str(tmp_path / "cb.json")],
+                     ["validate", cfgp],
+                     ["sweep", cfgp, "--n-range", "8", "--b-range", b_ghz]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "double precision" in err
+            assert len(err.splitlines()) == 1
+
     def test_solver_failure_exits_three(self, small_config, tmp_path, capsys,
                                         monkeypatch):
         def boom(cfg, solver_cfg):
@@ -260,6 +302,20 @@ class TestFailureModes:
         assert main(["design", small_config, "--out", str(out)]) == 3
         assert "solver failure" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("module, argv", [
+        (cli, ["validate"]),
+        (widebeam.narrowband, ["sweep", "--n-range", "8", "--b-range", "10",
+                               "--what", "wideband"]),
+    ])
+    def test_solver_failure_exits_three_in_every_command(
+            self, small_config, capsys, monkeypatch, module, argv):
+        def boom(cfg, solver_cfg):
+            raise RuntimeError("window matrix is not positive definite")
+        monkeypatch.setattr(module, "build_codebook", boom)
+        assert main([argv[0], small_config, *argv[1:]]) == 3
+        err = capsys.readouterr().err
+        assert err == "solver failure: window matrix is not positive definite\n"
 
 
 def test_console_script_help(tmp_path):

@@ -238,11 +238,6 @@ class TestEvaluate:
 
 
 class TestWindowedMin:
-    def test_single_sample_window(self):
-        lo = np.array([0.37])
-        assert _windowed_min(16, lo, lo + 0.5, 1) == pytest.approx(
-            dirichlet_power(lo, 16), rel=1e-15)
-
     def test_small_case_against_direct_scan(self):
         lo = np.array([0.03, -0.4, 1.7])
         hi = lo + np.array([0.3, 0.0, 0.26])

@@ -6,7 +6,8 @@ import pytest
 from widebeam import SystemConfig, narrowband_codebook, prop1_worst_case, prop2_optimal_N
 from widebeam import narrowband
 from widebeam.array_model import composite_gain, dirichlet_power, steering_composite
-from widebeam.narrowband import N_STAR_COEFF, X_STAR, aligned_beam_wideband_gain
+from widebeam.narrowband import (N_STAR_COEFF, X_STAR, aligned_beam_wideband_gain,
+                                 prop1_zero_limit)
 
 
 def cfg(n=16, l=32, b=10e9):
@@ -60,17 +61,14 @@ class TestWorstCaseWithSquint:
     def test_frozen_values(self):
         got = prop1_worst_case(cfg(n=16, l=200))
         assert got.worst_case_gain == pytest.approx(11.1548000347714, abs=1e-10)
-        assert got.worst_aod == pytest.approx(np.pi / 2, abs=1e-12)
-        assert got.nonzero_condition_holds
         assert prop1_worst_case(cfg(n=16, l=32)).worst_case_gain == pytest.approx(
             5.59857312575272, abs=1e-10)
 
     def test_too_many_antennas_gives_zero(self):
         # past N = 4 f_c L / (2 f_c + B L) the edge beam's band minimum
         # crosses its first null
-        got = prop1_worst_case(cfg(n=30, l=200, b=18e9))
-        assert got.worst_case_gain == 0.0
-        assert not got.nonzero_condition_holds
+        assert prop1_worst_case(cfg(n=30, l=200, b=18e9)).worst_case_gain == 0.0
+        assert prop1_zero_limit(140e9, 18e9, 200) < 30
 
     def test_matches_grid_sweep(self):
         from widebeam import evaluate

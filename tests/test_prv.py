@@ -44,6 +44,12 @@ class TestPlan:
         spacing = np.diff(plan.pointing)
         assert np.allclose(spacing, width / plan.Z, atol=1e-12)
 
+    def test_window_wider_than_two_n_takes_single_elements(self):
+        # no divisor of n reaches sqrt(width*n/2) once width > 2n
+        plan = prv_plan(1, 2.0 + 10e9 / 140e9)
+        assert (plan.Z, plan.N_s) == (1, 1)
+        assert prv_plan(2, 4.5).Z == 2
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             prv_plan(0, 0.5)

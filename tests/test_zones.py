@@ -1,12 +1,15 @@
 """Zone division: the bisection on the common virtual width."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from widebeam import SystemConfig, divide_zones, prop3_upper_bound
-from widebeam.zones import ZonePartition, next_boundary, virtual_interval, zone_intervals
+from widebeam.zones import (PartitionLimitError, ZonePartition, next_boundary,
+                            virtual_interval, zone_intervals)
 
 # frozen by running the bisection once and keeping 15 digits; the L=1 value
 # has a closed form 2*(1 + B/(2*f_c)) = 2.0714285714285716
@@ -138,6 +141,27 @@ def test_centers_are_virtual_midpoints():
 def test_upper_bound_is_two_over_width():
     part = divide_zones(make(32))
     assert prop3_upper_bound(part) == pytest.approx(2.0 / part.delta_omega, rel=1e-15)
+
+
+def test_single_zone_wider_than_a_period_caps_the_bound_at_one():
+    # the one zone's image, 2 + B/f_c wide, holds a whole period of the
+    # pattern, whose mean is 1
+    assert prop3_upper_bound(divide_zones(make(1))) == 1.0
+    assert prop3_upper_bound(divide_zones(make(1, 0.0))) == 1.0
+
+
+@pytest.mark.parametrize("L, B", [(1024, 10e9), (520, 18e9), (20, 270e9)])
+def test_partition_beyond_double_precision_is_named(L, B):
+    with pytest.raises(PartitionLimitError,
+                       match=re.escape(f"L={L} zones at B={B:g} Hz") + ".*double precision"):
+        divide_zones(make(L, B))
+
+
+@pytest.mark.parametrize("B", [10e9, 18e9])
+def test_large_partitions_still_close(B):
+    part = divide_zones(make(512, B))
+    assert part.boundaries[-1] == np.pi / 2
+    assert np.all(np.diff(part.boundaries) > 0)
 
 
 def test_wider_band_needs_wider_zones():
