@@ -4,22 +4,22 @@ One prototype beam is optimized over a centered virtual window and then
 shifted to every zone center by an element-wise steering product; the shift
 translates the whole gain pattern, so all zones inherit the same local
 worst case.  Evaluation sweeps angle x frequency grids.  Both sweep paths
-prune exactly by one rule: a beam's gain at any one frequency bounds its
-band minimum from above, so a beam whose bound falls below a band minimum
-that another beam attains can neither win nor tie, and is never swept
-over the full band.  For codebooks made of plain response vectors the
-sweep collapses to Dirichlet-kernel lookups over the candidate beams near
-each angle (an envelope bound certifies that the beams outside that
-radius cannot change any gain at or above GUARD_FLOOR; a lower gain may
-miss a skipped beam that does better, though never above GUARD_FLOOR).
-Each angle is seeded with its home beam's minimum.  Its other candidates
-come as runs of offsets read off in closed form, the reach of the
-kernel's sidelobe envelope less the main lobe's flank below that minimum;
-each is bounded by the envelope, with no kernel call, then by the kernel
-at two of its frequency samples, and only candidates whose bound reaches
-the best minimum found so far get the full sampled minimum.  Any other
-codebook goes through the general sweep, which bounds every beam by its
-minimum over three probe frequencies.
+prune by one rule: a beam's gain at any one frequency bounds its band
+minimum from above, so a beam whose bound falls below a band minimum that
+another beam attains can neither win nor tie, and is never swept over the
+full band.  For codebooks made of plain response vectors the sweep
+collapses to Dirichlet-kernel lookups, in one pass over every beam of each
+angle.  Each angle is seeded with its home beam's minimum.  Its other
+candidates come as runs of offsets read off in closed form, the reach of
+the kernel's sidelobe envelope less the main lobe's flank below the level,
+max(best, GUARD_FLOOR); each is bounded by the envelope, with no kernel
+call, then by the kernel at two of its frequency samples, and only
+candidates whose bound reaches the level get the full sampled minimum.
+Gains at or above GUARD_FLOOR are exact, and ties go to the lowest offset
+in the centred ring around the home beam; below GUARD_FLOOR a gain is a
+minimum some beam attains, at most the exact one.  Any other codebook goes
+through the general sweep, which bounds every beam by its minimum over
+three probe frequencies and is exact.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .prv import prv_beam, prv_plan
 from .zones import ZonePartition, divide_zones, sine_centers, zone_intervals
 
 ZONE_GRID = 1025        # per-zone virtual grid for local worst cases
-GUARD_FLOOR = 5e-4      # matched-sweep gains below this may miss a skipped far beam
+GUARD_FLOOR = 5e-4      # matched-sweep gains below this may miss a better beam
 SWEEP_CELLS = 1e6       # phase-matrix cells per angle block of the general sweep
 PROBE_TOL = 1e-9        # relative slack that keeps near-ties in the pruned sweeps
 HORNER_ROWS = 32        # beams per Horner pass of the per-zone minima
@@ -273,51 +273,41 @@ def _lobe_reach(n: int, level: np.ndarray) -> np.ndarray:
 
 def _matched_codebook_sweep(n: int, centers: np.ndarray, sines: np.ndarray,
                             scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-angle best wideband gain for a response-vector codebook.
+    """Per-angle best wideband gain for a response-vector codebook, in one pass.
 
-    Only beams within a candidate radius of each angle are evaluated
-    (indices wrap: the pattern is 2-periodic in composite space, so the
-    far-edge beams matter at |sin phi| near 1).  Pruning is certified per
-    angle by either of two facts about the skipped beams, and the radius
-    doubles until one holds everywhere:
-
-    * their pattern over the angle's frequency window stays under the
-      1/(n sin^2) sidelobe envelope, which is below the achieved gain or
-      below GUARD_FLOOR (where the achieved gain is under GUARD_FLOOR, a
-      skipped beam may then beat it, though not the floor), or
-    * the frequency window spans a full null spacing (2/n) and, by the
-      radius construction, lies entirely outside the skipped beam's main
-      lobe, so it straddles an exact null of that beam's pattern; the
-      beam's sampled band minimum is then at most a slope-bounded
-      residue at the sample nearest that null.
-
-    Within the radius, candidates are branch-and-bound pruned.  Any upper
-    bound on a pair's sampled band minimum that lies below floor = best -
-    PROBE_TOL * max(best, 1), best being a minimum another candidate
-    attains, rules the pair out: it can neither win nor tie.  The tolerance
-    covers the rounding between a bound and the minimum.  Each angle's best
-    starts at its home beam's (offset 0) full minimum.
+    Every beam is a candidate: beam (j0 + k) mod L, j0 the angle's home beam
+    and k in the ring -floor((L-1)/2)..floor(L/2) (indices wrap: the pattern
+    is 2-periodic in composite space, so the far-edge beams matter at
+    |sin phi| near 1).  Each angle's best starts at its home beam's (k = 0)
+    full minimum.  Any upper bound on a pair's sampled band minimum that
+    lies below the level top - PROBE_TOL * max(top, 1), top = max(best,
+    GUARD_FLOOR), rules the pair out.  The tolerance covers the rounding
+    between a bound and the minimum.  Where best >= GUARD_FLOOR the pair
+    can neither win nor tie; below the floor it can beat best, though not
+    the floor, so there the gain is a minimum some beam attains, at most
+    the exact one.
 
     The reach.  Candidate k's window in the kernel's argument is
     [e_lo + k*spacing, e_hi + k*spacing], e_lo and e_hi being the home
-    window's ends and k the offset taken in a centred range around the home
-    beam.  So its distance d from the peak at 0, and the distance d_far of
-    its far end, are piecewise linear in k, and each angle's candidates are
-    read off in closed form, with no per-pair work:
+    window's ends.  So its distance d from the peak at 0, and the distance
+    d_far of its far end, are piecewise linear in k, and each angle's
+    candidates are read off in closed form, with no per-pair work:
 
     * sidelobe reach (_envelope_reach): the capped envelope of
-      _envelope_bound is below floor once d > (2/pi) asin(1/sqrt(n*floor)).
-      Where every window of the angle holds a null (width >= 4/n), the same
-      holds with floor divided by the angle's residue factor.  This applies
-      where no window of the range comes within the reach of the peaks at
-      +-2, so that d is the distance to the nearest peak; elsewhere the
-      whole range is kept.
+      _envelope_bound is below the level once
+      d > (2/pi) asin(1/sqrt(n*level)).
+      Where the angle's windows are at least 2/n wide, a window at d > 0
+      holds a cut that is no peak, a null, and the same holds with the
+      level divided by the angle's residue factor.  This applies where no
+      window of the ring comes within the reach of the peaks at +-2, so
+      that d is the distance to the nearest peak; elsewhere the whole ring
+      is kept.
     * main-lobe reach (_lobe_reach): _windowed_min evaluates both window
       ends, and on [0, 2/n] the pattern falls monotonically from n at the
       peak to 0 at the first null.  Take r with dirichlet_power(r)/n <=
-      floor.  A window whose far end lies at d_far in [r, 2/n] has a sample
+      level.  A window whose far end lies at d_far in [r, 2/n] has a sample
       at d_far, so its sampled minimum is at most dirichlet_power(d_far)/n
-      <= dirichlet_power(r)/n <= floor: it is dropped.
+      <= dirichlet_power(r)/n <= level: it is dropped.
 
     What is left is three runs of k per angle, within the sidelobe reach:
     the windows whose far end is short of r, and those reaching past the
@@ -327,135 +317,99 @@ def _matched_codebook_sweep(n: int, centers: np.ndarray, sines: np.ndarray,
     0. the exact _envelope_bound, with no kernel call;
     1. for its survivors, _two_sample_bound, two kernel samples;
     2. for theirs, visited per angle in decreasing tier-1 bound while that
-       bound still reaches best, the full sampled minimum (_windowed_min).
+       bound still reaches the level, the full sampled minimum
+       (_windowed_min).
 
-    When the radius doubles, the inner pairs keep their minima and best,
-    and only the new offsets are bounded.  A pair's minimum does not
-    depend on the batch that computes it, the pairs that attain best are
-    never pruned, and the argmax runs in offset order over the evaluated
-    pairs, so gains and winners are those of evaluating every candidate.
+    A pair's minimum does not depend on the batch that computes it, and
+    the pairs that attain a best at or above GUARD_FLOOR are never pruned.
+    The winner is tracked as (best, k), ties going to the lowest k, so at
+    or above GUARD_FLOOR gains and winners are those of evaluating every
+    beam in the ring's order.
     """
     L = centers.size
     F = scale.size
     A = sines.size
     spacing = 2.0 / L
     eps = 1e-6 * spacing                    # widens what the reach keeps, narrows what it drops
-    b2 = float(scale[-1] - 1.0)
     p0 = scale[0] * sines
     p1 = scale[-1] * sines
     win_lo = np.minimum(p0, p1)
     win_hi = np.maximum(p0, p1)
     j0 = np.clip(np.floor((sines + 1.0) / spacing).astype(int), 0, L - 1)
-    radius = int(np.ceil((b2 + 2.0 / n + 1.0 / L) / spacing)) + 1
+    k_lo, k_hi = -((L - 1) // 2), L // 2    # the ring of offsets around j0
     h = (win_hi - win_lo) / (F - 1)
-    ring = np.tile(centers, 3)              # centers[(j0 + offset) % L] at L + j0 + offset
     e_lo = centers[j0] - win_hi             # the home window; offset k adds k*spacing
     e_hi = centers[j0] - win_lo
-    # _envelope_bound's residue factor, where every window of the angle holds a null
-    null_factor = np.where((win_hi - win_lo >= 4.0 / n) & (n > 1), _null_residue(n, h), 1.0)
-    offsets = np.zeros(0, dtype=int)        # the offsets whose pairs are done
-    g = np.zeros((A, 0))                    # their minima, -inf where pruned
-    best = np.full(A, -np.inf)
-    inner = 0                               # centred offsets -inner..inner are done
-    swept = pairs = pruned = bounded = reused = 0
-    while True:
-        full = 2 * radius + 1 >= L
-        batch = np.arange(L) if full else np.arange(-radius, radius + 1)
-        k_lo, k_hi = (-(L // 2), L - 1 - L // 2) if full else (-radius, radius)
-        slot = np.empty(L, dtype=int)
-        slot[batch % L] = np.arange(batch.size)
-        kept = slot[offsets % L]
-        grown = np.full((A, batch.size), -np.inf)
-        grown[:, kept] = g
-        g = grown
-        offsets = batch
-        reused += A * kept.size
-        fresh = A * (batch.size - kept.size)
-        pairs += fresh
-        if not kept.size:
-            best = _windowed_min(n, e_lo, e_hi, F) / n
-            g[:, slot[0]] = best
-            swept += A
-            fresh -= A
-        floor = best - PROBE_TOL * np.maximum(best, 1.0)
-        reach = _envelope_reach(n, floor / null_factor)
-        flank = _lobe_reach(n, floor)
+    # _envelope_bound's residue factor, where every window at d > 0 holds a null
+    null_factor = np.where((win_hi - win_lo >= 2.0 / n) & (n > 1), _null_residue(n, h), 1.0)
 
-        def krange(lo, hi):
-            """The integers k with lo <= k*spacing <= hi, clipped to the batch."""
-            return (np.ceil(np.clip(lo / spacing, k_lo - 1, k_hi + 1)).astype(np.int64),
-                    np.floor(np.clip(hi / spacing, k_lo - 1, k_hi + 1)).astype(np.int64))
+    def level_of(best):
+        top = np.maximum(best, GUARD_FLOOR)
+        return top - PROBE_TOL * np.maximum(top, 1.0)
 
-        # runs of k: within the sidelobe reach, where the peaks at +-2 are out
-        # of it, less the windows inside the main lobe whose far end lies at
-        # flank or beyond; then outside -inner..inner
-        near = ((e_hi + k_hi * spacing < 2.0 - reach - 1e-9)
-                & (e_lo + k_lo * spacing > reach - 2.0 + 1e-9))
-        in_lo, in_hi = krange(np.where(near, -reach - e_hi, -np.inf) - eps,
-                              np.where(near, reach - e_lo, np.inf) + eps)
-        lobe_lo, lobe_hi = krange(-2.0 / n - e_lo + eps, 2.0 / n - e_hi - eps)
-        lobe_hi = np.maximum(lobe_hi, lobe_lo - 1)
-        short_lo, short_hi = krange(-flank - e_lo - eps, flank - e_hi + eps)
-        starts = np.stack([in_lo, np.maximum(np.maximum(in_lo, short_lo), lobe_lo),
-                           np.maximum(in_lo, lobe_hi + 1)], axis=1)
-        ends = np.stack([np.minimum(in_hi, lobe_lo - 1),
-                         np.minimum(np.minimum(in_hi, short_hi), lobe_hi), in_hi], axis=1)
-        starts = np.maximum(starts[:, :, None], [k_lo, inner + 1]).reshape(A, -1)
-        ends = np.minimum(ends[:, :, None], [-inner - 1, k_hi]).reshape(A, -1)
-        count = np.maximum(ends - starts + 1, 0).ravel()
-        r = np.repeat(np.arange(A).repeat(starts.shape[1]), count)
-        k = np.arange(r.size) + np.repeat(starts.ravel() - (np.cumsum(count) - count), count)
-        col = slot[k % L]
-        c = ring[L + j0[r] + k]
-        lo = c - win_hi[r]
-        hi = c - win_lo[r]
-        m_lo, m_hi = _cut_range(n, lo, hi)
-        idx = np.flatnonzero(_envelope_bound(n, lo, hi, h[r], m_lo, m_hi) >= floor[r])
-        pruned += fresh - idx.size
-        bounded += idx.size
-        r, col, lo, hi = r[idx], col[idx], lo[idx], hi[idx]
-        u = _two_sample_bound(n, lo, hi, F, m_lo[idx], m_hi[idx]) / n
-        # survivors grouped by angle, each group in decreasing u
-        order = np.flatnonzero(u >= floor[r])
-        order = order[np.argsort(-u[order])]
-        order = order[np.argsort(r[order], kind="stable")]
-        r, col, u, lo, hi = r[order], col[order], u[order], lo[order], hi[order]
-        count = np.bincount(r, minlength=A)
-        start = np.cumsum(count) - count
-        rows = np.flatnonzero(count)
-        visit = 0
-        while rows.size:
-            i = start[rows] + visit
-            ok = u[i] >= best[rows] - PROBE_TOL * np.maximum(best[rows], 1.0)
-            rows, i = rows[ok], i[ok]
-            v = _windowed_min(n, lo[i], hi[i], F) / n
-            g[rows, col[i]] = v
-            best[rows] = np.maximum(best[rows], v)
-            swept += rows.size
-            visit += 1
-            rows = rows[count[rows] > visit]
-        if full:
-            break
-        # skipped beams sit at least (radius+1) spacings away on the circle;
-        # every window point is `raw` or more from their centers
-        raw = (radius + 1) * spacing - np.abs(sines - centers[j0]) - b2 * np.abs(sines)
-        clipped = np.clip(raw, 1e-9, 1.0)
-        envelope = 1.0 / (n * np.sin(np.pi * clipped / 2.0) ** 2)
-        cap = np.maximum(best, GUARD_FLOOR)
-        ok = envelope <= cap
-        window = 2.0 * b2 * np.abs(sines)
-        step = window / (F - 1)
-        residue = envelope * (n * np.pi * step / 4.0) ** 2
-        ok |= (window >= 2.0 / n) & (raw >= 2.0 / n) & (residue <= cap)
-        if np.all(ok):
-            break
-        inner = radius
-        radius *= 2
+    def krange(lo, hi):
+        """The integers k with lo <= k*spacing <= hi, clipped to the ring."""
+        return (np.ceil(np.clip(lo / spacing, k_lo - 1, k_hi + 1)).astype(np.int64),
+                np.floor(np.clip(hi / spacing, k_lo - 1, k_hi + 1)).astype(np.int64))
+
+    best = _windowed_min(n, e_lo, e_hi, F) / n
+    best_k = np.zeros(A, dtype=np.int64)
+    level = level_of(best)
+    reach = _envelope_reach(n, level / null_factor)
+    flank = _lobe_reach(n, level)
+    # runs of k: within the sidelobe reach, where the peaks at +-2 are out of
+    # it, less the windows inside the main lobe whose far end lies at flank
+    # or beyond; then less k = 0
+    near = ((e_hi + k_hi * spacing < 2.0 - reach - 1e-9)
+            & (e_lo + k_lo * spacing > reach - 2.0 + 1e-9))
+    in_lo, in_hi = krange(np.where(near, -reach - e_hi, -np.inf) - eps,
+                          np.where(near, reach - e_lo, np.inf) + eps)
+    lobe_lo, lobe_hi = krange(-2.0 / n - e_lo + eps, 2.0 / n - e_hi - eps)
+    lobe_hi = np.maximum(lobe_hi, lobe_lo - 1)
+    short_lo, short_hi = krange(-flank - e_lo - eps, flank - e_hi + eps)
+    starts = np.stack([in_lo, np.maximum(np.maximum(in_lo, short_lo), lobe_lo),
+                       np.maximum(in_lo, lobe_hi + 1)], axis=1)
+    ends = np.stack([np.minimum(in_hi, lobe_lo - 1),
+                     np.minimum(np.minimum(in_hi, short_hi), lobe_hi), in_hi], axis=1)
+    starts = np.maximum(starts[:, :, None], [k_lo, 1]).reshape(A, -1)
+    ends = np.minimum(ends[:, :, None], [-1, k_hi]).reshape(A, -1)
+    count = np.maximum(ends - starts + 1, 0).ravel()
+    r = np.repeat(np.arange(A).repeat(starts.shape[1]), count)
+    k = np.arange(r.size) + np.repeat(starts.ravel() - (np.cumsum(count) - count), count)
+    c = centers[(j0[r] + k) % L]
+    lo = c - win_hi[r]
+    hi = c - win_lo[r]
+    m_lo, m_hi = _cut_range(n, lo, hi)
+    idx = np.flatnonzero(_envelope_bound(n, lo, hi, h[r], m_lo, m_hi) >= level[r])
+    bounded = idx.size
+    r, k, lo, hi = r[idx], k[idx], lo[idx], hi[idx]
+    u = _two_sample_bound(n, lo, hi, F, m_lo[idx], m_hi[idx]) / n
+    # survivors grouped by angle, each group in decreasing u
+    order = np.flatnonzero(u >= level[r])
+    order = order[np.argsort(-u[order])]
+    order = order[np.argsort(r[order], kind="stable")]
+    r, k, u, lo, hi = r[order], k[order], u[order], lo[order], hi[order]
+    count = np.bincount(r, minlength=A)
+    start = np.cumsum(count) - count
+    rows = np.flatnonzero(count)
+    swept = A
+    visit = 0
+    while rows.size:
+        i = start[rows] + visit
+        ok = u[i] >= level_of(best[rows])
+        rows, i = rows[ok], i[ok]
+        v = _windowed_min(n, lo[i], hi[i], F) / n
+        win = (v > best[rows]) | ((v == best[rows]) & (k[i] < best_k[rows]))
+        best[rows[win]] = v[win]
+        best_k[rows[win]] = k[i[win]]
+        swept += rows.size
+        visit += 1
+        rows = rows[count[rows] > visit]
     log.debug("matched path (response-vector codebook recognised): %d beams x %d "
               "angles, %d of %d candidate pairs given the full band minimum, "
-              "%d pruned by the analytic bound, %d given the two-sample bound, "
-              "%d reused across a doubling", L, A, swept, pairs, pruned, bounded, reused)
-    return best, (j0 + offsets[np.argmax(g, axis=1)]) % L
+              "%d pruned by the analytic bound, %d given the two-sample bound",
+              L, A, swept, A * L, A * (L - 1) - bounded, bounded)
+    return best, (j0 + best_k) % L
 
 
 def _phase_powers(n: int, u: np.ndarray) -> np.ndarray:

@@ -16,7 +16,8 @@ import numpy as np
 
 from .array_model import BeamVector, composite_gain
 
-COVERAGE_GRID = 512  # points for the construction-time positivity check
+COVERAGE_GRID = 512    # points for the construction-time positivity check
+COVERAGE_FLOOR = 1e-9  # least gain it accepts: 1e-9 of a constant-modulus beam's mean gain, 1
 
 
 @dataclass(frozen=True)
@@ -74,8 +75,9 @@ def prv_beam(plan: PrvPlan) -> BeamVector:
 
     The stacked construction is native to the opposite steering sign, so the
     block is conjugated into the library's +j convention.  Rather than trust
-    that algebra, the beam pattern is checked right here: the gain must be
-    strictly positive over the whole window the plan was built for.
+    that algebra, the beam pattern is checked right here: the gain must
+    exceed COVERAGE_FLOOR over the whole window the plan was built for, so
+    a null computed to rounding (a gain near 1e-30) is a null.
     """
     k = np.arange(plan.N_s)
     blocks = [
@@ -85,7 +87,7 @@ def prv_beam(plan: PrvPlan) -> BeamVector:
     w = np.conj(np.concatenate(blocks)) / np.sqrt(plan.n)
     half = min(plan.intersections[-1], 1.0)  # window clamped into one period
     floor = composite_gain(w, np.linspace(-half, half, COVERAGE_GRID)).min()
-    if not floor > 0:
+    if not floor > COVERAGE_FLOOR:
         raise RuntimeError(
             f"sub-array stack leaves a null inside its window (min gain {floor:.3e})"
         )

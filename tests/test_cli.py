@@ -303,6 +303,18 @@ class TestFailureModes:
         assert "solver failure" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_initializer_null_exits_three(self, write_config, tmp_path, capsys):
+        # one zone at N=16: the sub-array stack's pattern has a null in the
+        # window, so no beam is designed
+        out = tmp_path / "cb.json"
+        with pytest.warns(UserWarning, match="fewer beams"):
+            assert main(["design", write_config(l=1), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert len([line for line in err.splitlines()
+                    if line.startswith("solver failure: ")]) == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("module, argv", [
         (cli, ["validate"]),
         (widebeam.narrowband, ["sweep", "--n-range", "8", "--b-range", "10",

@@ -73,6 +73,12 @@ class TestBeam:
             grid = np.linspace(-width / 2, width / 2, 801)
             assert composite_gain(w, grid).min() > 0
 
+    def test_null_computed_to_rounding_is_a_null(self):
+        # N=16, one zone at B=10 GHz: the plan's pattern is zero at the
+        # window's end, which the coverage grid computes as about 1e-30
+        with pytest.raises(RuntimeError, match="null inside its window"):
+            prv_beam(prv_plan(16, 2.0714285714))
+
     def test_in_phase_at_intersections(self):
         # adjacent block responses must add coherently where their patterns
         # cross; the pattern is mirror symmetric so check both signs
