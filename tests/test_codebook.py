@@ -571,6 +571,37 @@ class TestEvaluateLog:
         assert got["pruned"] + got["bounded"] + n_sines == got["pairs"]
         assert n_sines <= got["full"] <= n_sines + got["bounded"]
 
+    def test_doubled_radius_bounds_no_pair_twice(self, caplog):
+        # the Prop. 1 zero regime: some angles' best minimum lies under
+        # GUARD_FLOOR, where a sweep that grows its radius would revisit the
+        # inner pairs; the one pass meets each pair once
+        cfg = SystemConfig(f_c=140e9, B=18e9, N=140, L=200)
+        got = self.matched_counts(caplog, cfg)
+        n_sines = evaluate(cfg, narrowband_codebook(cfg)).angles.size
+        assert got["pairs"] == n_sines * cfg.L
+        # every pair but the home beams' meets the analytic bound once
+        assert got["pruned"] + got["bounded"] + n_sines == got["pairs"]
+        assert n_sines <= got["full"] <= n_sines + got["bounded"]
+
+    def test_doubled_radius_with_more_cut_points_matches_the_unpruned_sweep(self, caplog):
+        # windows far from the home beam hold more cut points than those
+        # near it; their minima match the unpruned sweep all the same
+        cfg = SystemConfig(f_c=140e9, B=18e9, N=48, L=100, n_angle=64, n_freq=33)
+        got = self.matched_counts(caplog, cfg)
+        book = narrowband_codebook(cfg)
+        report = evaluate(cfg, book)
+        assert got["pairs"] == report.angles.size * cfg.L
+        # the grid evaluate sweeps, rebuilt
+        sines = np.unique(np.concatenate([np.linspace(-1.0, 1.0, cfg.n_angle),
+                                          np.sin(book.partition.boundaries), [-1.0, 1.0]]))
+        centers = (2.0 * np.arange(1, cfg.L + 1) - 1.0) / cfg.L - 1.0
+        scale = 1.0 + cfg.frequency_grid() / cfg.f_c
+        ref_gains, ref_winner = unpruned_matched_sweep(cfg.N, centers, sines, scale)
+        high = ref_gains >= GUARD_FLOOR
+        assert np.array_equal(report.gains[high], ref_gains[high])
+        assert np.array_equal(report.best_indices[high] - 1, ref_winner[high])
+        assert np.all(report.gains[~high] <= ref_gains[~high])
+
     def test_main_lobe_reach_drops_the_flank_before_any_bound(self, caplog):
         # at N=10 most candidates lie on the main lobe's flank below the
         # level: the reach drops them without the two-sample bound
