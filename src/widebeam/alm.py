@@ -7,22 +7,26 @@ folded into an infinity norm over the slack y, and two splittings (x for the
 modulus constraint, r for the target phases) give closed-form block updates:
 
     y: elementwise truncation against the threshold alpha*
-    w: one Hermitian positive-definite solve, diagonalized once by an
-       eigendecomposition of S S^H and reused for every iteration
+    w: w = A v + B z, two fixed operators built once per solve
     x: modulus projection of w + lambda_bar
     r: phase projection of y + S^H w + u_bar
     duals: scaled ascent with small steps beta1, beta2
 
+The window is symmetric about 0, so S S^H is real (entry (i, k) is the sum
+over the grid of cos(pi (i - k) u_m)).  One real eigendecomposition of it
+gives K = (rho1 S S^H + rho2 I)^-1, and the w-update's operators are
+A = rho1 K S and B = rho2 K; S itself is dropped once A is built.
+
 The problem is nonconvex, so iterates can leave a good feasible point and
-not come back; the solver therefore tracks the best feasible iterate seen
-(the initializer included) by its minimum grid gain and returns that.
+not come back; the solver therefore returns the best feasible iterate seen
+(the initializer included) by its minimum grid gain.  That score never feeds
+back into the iteration, so the iterates are kept in a SCORE_ROWS-row buffer
+and each full buffer is scored with one product against S^H.
 
 `solve` keeps no state object: the iterates are local arrays, and each block
-update is a pure function of the arrays it reads.  A C-ordered S^H and the
-eigendecomposition of S S^H are built once per solve.  S^H w is computed once
+update is a pure function of the arrays it reads.  S^H w is computed once
 per iteration, right after the w-update, and serves the r-update, the primal
-residual and the next iteration's y-update; one more product, |S^H x|^2,
-scores the iterate.
+residual and the next iteration's y-update.
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .array_model import BeamVector, SystemConfig, steering_composite
+
+SCORE_ROWS = 32         # iterates scored per product against S^H
 
 
 @dataclass(frozen=True)
@@ -71,13 +77,28 @@ def build_grid(n: int, delta_omega: float, m: int) -> tuple[np.ndarray, np.ndarr
     return S, points
 
 
-def w_system(S: np.ndarray, S_h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """eigh (lambda, V) of S S^H, the fixed matrix of every w-update."""
-    gram = S @ S_h
+def w_system(S: np.ndarray, S_h: np.ndarray, rho1: float,
+             rho2: float) -> tuple[np.ndarray, np.ndarray]:
+    """Operators (A, B) of the w-update w = A v + B z, from one real eigh.
+
+    With K = (rho1 S S^H + rho2 I)^-1, A = rho1 K S and B = rho2 K, both
+    complex.  S S^H is real for a window symmetric about 0; its imaginary
+    part is rounding and is dropped before the eigendecomposition.
+    """
+    gram = (S @ S_h).real.copy()
     if not np.isfinite(gram).all():
         # eigh returns NaN eigenvalues for a non-finite matrix instead of raising
         raise RuntimeError("w-update system is not finite")
-    return np.linalg.eigh(gram)
+    lam, V = np.linalg.eigh(gram)
+    K = (V / (rho1 * lam + rho2)) @ V.T
+    del gram, V  # peak memory: freed before A is built
+    # K S as one real product over S's interleaved real and imaginary parts;
+    # K @ S would first copy K to complex.  Both scalings are in place
+    A = (K @ np.ascontiguousarray(S).view(float)).view(complex)
+    A *= rho1
+    B = K.astype(complex)
+    B *= rho2
+    return A, B
 
 
 def update_y(target: np.ndarray, s_hw: np.ndarray, u_bar: np.ndarray,
@@ -92,12 +113,11 @@ def update_y(target: np.ndarray, s_hw: np.ndarray, u_bar: np.ndarray,
     return np.where(ac <= alpha, c, alpha * np.exp(1j * np.angle(c)))
 
 
-def update_w(S: np.ndarray, system: tuple[np.ndarray, np.ndarray], v: np.ndarray,
-             z: np.ndarray, rho1: float, rho2: float) -> np.ndarray:
-    """Minimizer of rho1/2 |S^H w - v|^2 + rho2/2 |w - z|^2, given system = eigh(S S^H)."""
-    lam, V = system
-    rhs = rho1 * (S @ v) + rho2 * z
-    return V @ ((V.conj().T @ rhs) / (rho1 * lam + rho2))
+def update_w(ops: tuple[np.ndarray, np.ndarray], v: np.ndarray,
+             z: np.ndarray) -> np.ndarray:
+    """Minimizer of rho1/2 |S^H w - v|^2 + rho2/2 |w - z|^2, given ops = w_system(...)."""
+    A, B = ops
+    return A @ v + B @ z
 
 
 def update_x(w: np.ndarray, lambda_bar: np.ndarray) -> np.ndarray:
@@ -128,42 +148,59 @@ def solve(
     Returns the modulus-feasible beam x with the largest minimum gain over
     the window grid, along with the per-iteration history of
     (primal residual norm, min grid gain of x).  The initializer itself is
-    a candidate, so the result never scores below its start.
+    a candidate, so the result never scores below its start; among equal
+    scores the earliest candidate wins.
     """
     if init.n != cfg.N:
         raise ValueError(f"initializer length {init.n} does not match N={cfg.N}")
     S, _ = build_grid(cfg.N, delta_omega, cfg.solver_grid_size)
-    # C-ordered S^H makes |S^H x|^2 bitwise equal to composite_gain(x, grid)
     S_h = np.ascontiguousarray(S.conj().T)
-    system = w_system(S, S_h)
-    sqrt_n = np.sqrt(cfg.N)
     rho1, rho2 = solver_cfg.rho1, solver_cfg.rho2
-
-    def min_gain(x):
-        return float((np.abs(S_h @ x) ** 2).min())
+    ops = w_system(S, S_h, rho1, rho2)
+    del S
+    sqrt_n = np.sqrt(cfg.N)
 
     # feasible start: w = x = init, zero multipliers, targets matched to S^H w
     x = w = init.weights
     s_hw = S_h @ w
     target = sqrt_n * np.exp(1j * np.angle(s_hw))
-    u_bar = np.zeros(S.shape[1], dtype=complex)
+    u_bar = np.zeros(S_h.shape[0], dtype=complex)
     lambda_bar = np.zeros(cfg.N, dtype=complex)
-    best_gain, best_x = min_gain(x), x
-    history = []
+
+    # candidates wait in rows until it is full; row 0 of the first block is
+    # the initializer, so gains[0] is its score and gains[k] iterate k's
+    rows = np.empty((SCORE_ROWS, cfg.N), dtype=complex)
+    rows[0] = x
+    filled = 1
+    gains: list[float] = []
+    best_gain, best_x = -np.inf, x
+
+    def score():
+        nonlocal best_gain, best_x
+        g = (np.abs(rows[:filled] @ S_h.T) ** 2).min(axis=1)
+        k = int(np.argmax(g))  # the first strict maximum
+        if g[k] > best_gain:
+            best_gain, best_x = g[k], rows[k].copy()
+        gains.extend(g.tolist())
+
+    residuals = []
     for _ in range(solver_cfg.n_ite):
         y = update_y(target, s_hw, u_bar, rho1)
-        w = update_w(S, system, target - u_bar - y, x - lambda_bar, rho1, rho2)
+        w = update_w(ops, target - u_bar - y, x - lambda_bar)
         x = update_x(w, lambda_bar)
         s_hw = S_h @ w
         target = sqrt_n * update_r(y, s_hw, u_bar)
         res = y - target + s_hw
         u_bar, lambda_bar = update_duals(u_bar, lambda_bar, res, w, x,
                                          solver_cfg.beta1, solver_cfg.beta2)
-        residual = float(np.linalg.norm(res))
-        g = min_gain(x)
-        history.append((residual, g))
-        if g > best_gain:
-            best_gain, best_x = g, x
-        if residual <= solver_cfg.eps:
+        residuals.append(float(np.linalg.norm(res)))
+        rows[filled] = x
+        filled += 1
+        if filled == SCORE_ROWS:
+            score()
+            filled = 0
+        if residuals[-1] <= solver_cfg.eps:
             break
-    return BeamVector(best_x), history
+    if filled:
+        score()
+    return BeamVector(best_x), list(zip(residuals, gains[1:]))

@@ -8,7 +8,6 @@ powers |h^H w|^2 and live in [0, N] for constant-modulus weights.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,12 +48,6 @@ class SystemConfig:
             raise ValueError(f"n_freq must be >= 2, got {self.n_freq}")
         if self.n_angle < 2:
             raise ValueError(f"n_angle must be >= 2, got {self.n_angle}")
-        if self.L < self.N:
-            warnings.warn(
-                f"L={self.L} < N={self.N}: fewer beams than antennas; "
-                "the closed-form narrowband analysis assumes L >= N",
-                stacklevel=2,
-            )
 
     @property
     def solver_grid_size(self) -> int:

@@ -11,6 +11,7 @@ codebook's, over a grid of element counts and bandwidths.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -59,8 +60,13 @@ def prop1_worst_case(cfg: SystemConfig) -> NarrowbandAnalysis:
 
     Zero when N >= prop1_zero_limit: past that element count the worst-case
     composite offset reaches the first pattern null and the edge user gets
-    no gain at the band edge.  The worst user sits at +-pi/2.
+    no gain at the band edge.  The worst user sits at +-pi/2.  Warns when
+    L < N: the closed form assumes at least as many beams as antennas.
     """
+    if cfg.L < cfg.N:
+        warnings.warn(f"L={cfg.L} < N={cfg.N}: fewer beams than antennas; "
+                      "the closed-form narrowband analysis assumes L >= N",
+                      stacklevel=2)
     return NarrowbandAnalysis(worst_case_gain=_prop1_gain(cfg.f_c, cfg.B, cfg.N, cfg.L))
 
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 
 import numpy as np
 
@@ -215,9 +214,7 @@ def parse_codebook(text: str) -> tuple[Codebook, SystemConfig]:
                             for i, row in enumerate(beams_doc)])
     beams = BeamVector.rows(weights)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # a stored L < N file is still readable
-        cfg = SystemConfig(f_c=f_c, B=b, N=n, L=l)
+    cfg = SystemConfig(f_c=f_c, B=b, N=n, L=l)
     if mapping is None:
         widths = np.diff(zone_intervals(cfg, bvals, "banded"), axis=1)[:, 0]
         mapping = "banded" if np.abs(widths - delta).max() <= 1e-9 else "sine"

@@ -7,6 +7,7 @@ import pytest
 
 from widebeam import SolverConfig, SystemConfig, divide_zones
 from widebeam.alm import (
+    SCORE_ROWS,
     build_grid,
     solve,
     update_duals,
@@ -88,12 +89,23 @@ class TestUpdateY:
 
 
 def w_update(it, rho1, rho2):
-    """update_w with the arguments the solve loop passes it."""
+    """update_w with the operators and arguments the solve loop passes it."""
     v = np.sqrt(it.n) * it.r - it.u_bar - it.y
-    return update_w(it.S, w_system(it.S, it.S_h), v, it.x - it.lambda_bar, rho1, rho2)
+    return update_w(w_system(it.S, it.S_h, rho1, rho2), v, it.x - it.lambda_bar)
 
 
 class TestUpdateW:
+    @pytest.mark.parametrize("n", [1, 8, 64, 256])
+    @pytest.mark.parametrize("l, m", [(1, 2), (1, None), (4, 2), (None, None)])
+    def test_gram_is_real(self, n, l, m):
+        # the window is symmetric about 0, so S S^H is real up to rounding;
+        # w_system keeps only its real part.  l=None is L=2N, m=None is M=2N
+        cfg = SystemConfig(f_c=140e9, B=10e9, N=n, L=l or 2 * n, M=m)
+        m = cfg.solver_grid_size
+        S, _ = build_grid(n, divide_zones(cfg).delta_omega, m)
+        gram = S @ S.conj().T
+        assert np.abs(gram.imag).max() <= 1e-12 * m
+
     def test_solves_the_normal_equations(self):
         it = random_iterates(seed=1)
         w = w_update(it, 1.0, 1.0)
@@ -125,21 +137,21 @@ class TestUpdateW:
         eigh = np.linalg.eigh
 
         def counting_eigh(a):
-            calls.append(a.shape)
+            calls.append((a.shape, np.isrealobj(a)))
             return eigh(a)
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         cfg = SystemConfig(f_c=140e9, B=10e9, N=8, L=16)
         _, history = solve(cfg, SolverConfig(), 0.4, matched_beam(8))
         assert len(history) == 50
-        assert calls == [(8, 8)]
+        assert calls == [((8, 8), True)]
 
     def test_nonfinite_system_is_a_solver_failure(self):
         it = random_iterates(seed=5)
         S = it.S.copy()
         S[0, 0] = np.nan
         with pytest.raises(RuntimeError):
-            w_system(S, np.ascontiguousarray(S.conj().T))
+            w_system(S, np.ascontiguousarray(S.conj().T), 1.0, 1.0)
 
     def test_nan_window_is_a_solver_failure(self):
         cfg = SystemConfig(f_c=140e9, B=10e9, N=8, L=16)
@@ -234,6 +246,21 @@ class TestSolve:
         start = composite_gain(init.weights, grid).min()
         best, history = solve(cfg, SolverConfig(), dO, init)
         expect = max(start, max(g for _, g in history))
+        got = composite_gain(best.weights, grid).min()
+        assert got == pytest.approx(expect, rel=1e-12, abs=0)
+
+    def test_more_iterations_than_one_score_block(self):
+        # 2.5 blocks of iterates: every one is scored and recorded, and the
+        # returned beam is still the best of the start and the history
+        n_ite = 2 * SCORE_ROWS + SCORE_ROWS // 2
+        cfg = self.cfg(8, 16)
+        rng = np.random.default_rng(14)
+        init = BeamVector(np.exp(1j * rng.uniform(0, 2 * np.pi, 8)) / np.sqrt(8))
+        _, grid = build_grid(8, 0.3, cfg.solver_grid_size)
+        best, history = solve(cfg, SolverConfig(n_ite=n_ite), 0.3, init)
+        assert len(history) == n_ite
+        expect = max(composite_gain(init.weights, grid).min(),
+                     max(g for _, g in history))
         got = composite_gain(best.weights, grid).min()
         assert got == pytest.approx(expect, rel=1e-12, abs=0)
 

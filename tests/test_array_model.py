@@ -40,10 +40,6 @@ class TestSystemConfig:
         with pytest.raises(ValueError):
             SystemConfig(**base)
 
-    def test_warns_fewer_beams_than_antennas(self):
-        with pytest.warns(UserWarning, match="fewer beams"):
-            SystemConfig(f_c=140e9, B=10e9, N=16, L=8)
-
 
 class TestBeamVector:
     def test_accepts_constant_modulus(self):

@@ -1,5 +1,7 @@
 """Uniform-sine codebook and its closed-form wideband analysis."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,14 @@ class TestWorstCaseWithSquint:
         worst = evaluate(c, narrowband_codebook(c)).worst_case
         closed = prop1_worst_case(c).worst_case_gain
         assert worst == pytest.approx(closed, rel=0.02)
+
+    def test_warns_fewer_beams_than_antennas(self):
+        # the closed form warns, not the config: L < N designs run silently
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c = cfg(n=16, l=8)
+        with pytest.warns(UserWarning, match="fewer beams"):
+            prop1_worst_case(c)
 
     def test_more_bandwidth_never_helps(self):
         vals = [prop1_worst_case(cfg(n=16, l=200, b=b)).worst_case_gain

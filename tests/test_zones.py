@@ -27,10 +27,7 @@ DELTA_OMEGA = {
 
 
 def make(L, B=10e9, N=16):
-    import warnings
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # L < N cases are deliberate here
-        return SystemConfig(f_c=140e9, B=B, N=N, L=L)
+    return SystemConfig(f_c=140e9, B=B, N=N, L=L)
 
 
 @pytest.mark.parametrize("key", sorted(DELTA_OMEGA))
