@@ -58,6 +58,10 @@ class SolverConfig:
     eps: float = 0.0
 
     def __post_init__(self):
+        # NaN passes every comparison below
+        for name in ("rho1", "rho2", "beta1", "beta2", "eps"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.rho1 <= 0 or self.rho2 <= 0:
             raise ValueError("penalty factors must be positive")
         if self.beta1 <= 0 or self.beta2 <= 0:

@@ -8,18 +8,17 @@ prune by one rule: a beam's gain at any one frequency bounds its band
 minimum from above, so a beam whose bound falls below a band minimum that
 another beam attains can neither win nor tie, and is never swept over the
 full band.  For codebooks made of plain response vectors the sweep
-collapses to Dirichlet-kernel lookups, in one pass over every beam of each
-angle.  Each angle is seeded with its home beam's minimum.  Its other
-candidates come as runs of offsets read off in closed form, the reach of
-the kernel's sidelobe envelope less the main lobe's flank below the level,
-max(best, GUARD_FLOOR); each is bounded by the envelope, with no kernel
-call, then by the kernel at two of its frequency samples, and only
-candidates whose bound reaches the level get the full sampled minimum.
-Gains at or above GUARD_FLOOR are exact, and ties go to the lowest offset
-in the centred ring around the home beam; below GUARD_FLOOR a gain is a
-minimum some beam attains, at most the exact one.  Any other codebook goes
-through the general sweep, which bounds every beam by its minimum over
-three probe frequencies and is exact.
+collapses to Dirichlet-kernel lookups in three steps.  Each angle's
+candidate beams come as runs of offsets read off in closed form, where the
+kernel's sidelobe envelope, less the main lobe's flank, can reach the level
+max(home, GUARD_FLOOR), home being the home beam's minimum; each candidate
+is bounded by the kernel at two of its frequency samples, those whose bound
+reaches the level get the full sampled minimum, and one pick per angle
+takes the best.  Gains at or above GUARD_FLOOR are exact, and ties go to
+the lowest offset in the centred ring around the home beam; below
+GUARD_FLOOR a gain is a minimum some beam attains, at most the exact one.
+Any other codebook goes through the general sweep, which bounds every beam
+by its minimum over three probe frequencies and is exact.
 """
 
 from __future__ import annotations
@@ -213,50 +212,40 @@ def _windowed_min(n: int, lo: np.ndarray, hi: np.ndarray, n_samp: int) -> np.nda
 
 
 def _null_residue(n: int, h: np.ndarray) -> np.ndarray:
-    """_envelope_bound's residue factor at sample step h."""
+    """Residue factor min(1, (n pi h/4)^2) at sample step h.
+
+    Where a window holds a null cut, the sample nearest that null lies
+    within h/2 of it, where sin^2(n pi u/2) is at most (n pi h/4)^2; so that
+    sample, hence the sampled minimum, is at most the capped sidelobe
+    envelope (_envelope_reach) times this factor.  The 1e-8 added inside
+    the square covers the 1e-9 cut slack and rounding.
+    """
     return np.minimum(1.0, (n * np.pi / 4.0 * h + 1e-8) ** 2)
 
 
-def _envelope_bound(n: int, lo: np.ndarray, hi: np.ndarray, h: np.ndarray,
-                    m_lo: np.ndarray, m_hi: np.ndarray) -> np.ndarray:
-    """Upper bound on the sampled minimum of dirichlet_power/n over [lo, hi],
-    with no kernel call.
-
-    h is the sample step; m_lo and m_hi are the window's cut range
-    (_cut_range).  The pattern never exceeds n and lies under the sidelobe
-    envelope 1/(n sin^2(pi d/2)), d the distance to the nearest peak (an
-    even integer), so the capped envelope at the window's own distance d
-    bounds every sample.  When the window holds a null cut, the sample
-    nearest that null lies within h/2 of it, where sin^2(n pi u/2) is at
-    most (n pi h/4)^2; that sample, hence the minimum, is at most the
-    capped envelope times the residue factor min(1, (n pi h/4)^2).  The
-    1e-8 added inside the square covers the 1e-9 cut slack and rounding.
-    The bound holds up to rounding far below PROBE_TOL*max(bound, 1).
-    """
-    peak = 2.0 * np.floor(hi / 2.0)         # the last peak at or below hi
-    d = np.maximum(np.minimum(lo - peak, peak + 2.0 - hi), 0.0)
-    bound = n / np.maximum(1.0, n * n * np.sin(np.pi / 2.0 * d) ** 2)
-    return np.where(_first_null(n, m_lo, m_hi)[1], bound * _null_residue(n, h), bound)
-
-
-def _two_sample_bound(n: int, lo: np.ndarray, hi: np.ndarray, n_samp: int,
-                      m_lo: np.ndarray, m_hi: np.ndarray) -> np.ndarray:
+def _two_sample_bound(n: int, lo: np.ndarray, hi: np.ndarray, n_samp: int) -> np.ndarray:
     """dirichlet_power at two samples of [lo, hi] that _windowed_min also
     evaluates, the smaller of the two: either side of the first null cut,
     or both window ends when the window holds no null.  The same floats,
     so never below _windowed_min, and at a null's neighbours often close
     to it."""
-    m, null = _first_null(n, m_lo, m_hi)
+    m, null = _first_null(n, *_cut_range(n, lo, hi))
     x1, x2 = _cut_samples(n, lo, (hi - lo) / (n_samp - 1), m, n_samp)
     v = dirichlet_power(np.concatenate([np.where(null, x1, lo), np.where(null, x2, hi)]), n)
     return np.minimum(v[:lo.size], v[lo.size:])
 
 
 def _envelope_reach(n: int, level: np.ndarray) -> np.ndarray:
-    """Distance d from the nearest peak beyond which the capped envelope
-    min(n, 1/(n sin^2(pi d/2))) of _envelope_bound lies below level: the
-    window distances where that bound can still reach level are d <= reach.
-    1, every distance, where n*level <= 1."""
+    """Distance d from the nearest peak beyond which the capped sidelobe
+    envelope min(n, 1/(n sin^2(pi d/2))) lies below level: the window
+    distances where it can still reach level are d <= reach.  1, every
+    distance, where n*level <= 1.
+
+    dirichlet_power/n never exceeds n and lies under 1/(n sin^2(pi d/2)),
+    d the distance to the nearest peak (an even integer), so the capped
+    envelope at a window's own distance from that peak bounds every sample
+    of the window, up to rounding far below PROBE_TOL*max(level, 1).
+    """
     return 2.0 / np.pi * np.arcsin(1.0 / np.sqrt(np.maximum(n * level, 1.0)))
 
 
@@ -278,53 +267,47 @@ def _matched_codebook_sweep(n: int, centers: np.ndarray, sines: np.ndarray,
     Every beam is a candidate: beam (j0 + k) mod L, j0 the angle's home beam
     and k in the ring -floor((L-1)/2)..floor(L/2) (indices wrap: the pattern
     is 2-periodic in composite space, so the far-edge beams matter at
-    |sin phi| near 1).  Each angle's best starts at its home beam's (k = 0)
-    full minimum.  Any upper bound on a pair's sampled band minimum that
-    lies below the level top - PROBE_TOL * max(top, 1), top = max(best,
-    GUARD_FLOOR), rules the pair out.  The tolerance covers the rounding
-    between a bound and the minimum.  Where best >= GUARD_FLOOR the pair
-    can neither win nor tie; below the floor it can beat best, though not
-    the floor, so there the gain is a minimum some beam attains, at most
-    the exact one.
+    |sin phi| near 1).  Each angle's level is top - PROBE_TOL * max(top, 1),
+    top = max(home, GUARD_FLOOR), home being its home beam's (k = 0) full
+    minimum.  The sweep takes three steps.
 
-    The reach.  Candidate k's window in the kernel's argument is
-    [e_lo + k*spacing, e_hi + k*spacing], e_lo and e_hi being the home
-    window's ends.  So its distance d from the peak at 0, and the distance
-    d_far of its far end, are piecewise linear in k, and each angle's
-    candidates are read off in closed form, with no per-pair work:
+    1. Closed-form runs.  Candidate k's window in the kernel's argument is
+       [e_lo + k*spacing, e_hi + k*spacing], e_lo and e_hi being the home
+       window's ends.  So its distance d from the peak at 0, and the
+       distance d_far of its far end, are piecewise linear in k, and the
+       candidates whose minimum can reach the level are read off per
+       angle, with no per-pair work:
 
-    * sidelobe reach (_envelope_reach): the capped envelope of
-      _envelope_bound is below the level once
-      d > (2/pi) asin(1/sqrt(n*level)).
-      Where the angle's windows are at least 2/n wide, a window at d > 0
-      holds a cut that is no peak, a null, and the same holds with the
-      level divided by the angle's residue factor.  This applies where no
-      window of the ring comes within the reach of the peaks at +-2, so
-      that d is the distance to the nearest peak; elsewhere the whole ring
-      is kept.
-    * main-lobe reach (_lobe_reach): _windowed_min evaluates both window
-      ends, and on [0, 2/n] the pattern falls monotonically from n at the
-      peak to 0 at the first null.  Take r with dirichlet_power(r)/n <=
-      level.  A window whose far end lies at d_far in [r, 2/n] has a sample
-      at d_far, so its sampled minimum is at most dirichlet_power(d_far)/n
-      <= dirichlet_power(r)/n <= level: it is dropped.
+       * sidelobe reach (_envelope_reach): the capped sidelobe envelope is
+         below the level once d > (2/pi) asin(1/sqrt(n*level)).  Where the
+         angle's windows are at least 2/n wide, a window at d > 0 holds a
+         cut that is no peak, a null, and the same holds with the level
+         divided by the angle's residue factor (_null_residue).  This
+         applies where no window of the ring comes within the reach of the
+         peaks at +-2, so that d is the distance to the nearest peak;
+         elsewhere the whole ring is kept.
+       * main-lobe reach (_lobe_reach): on [0, 2/n] the pattern falls
+         monotonically from n at the peak to 0 at the first null.  Take r
+         with dirichlet_power(r)/n <= level.  A window whose far end lies at
+         d_far in [r, 2/n] has a sample there (_windowed_min evaluates both
+         ends), at most dirichlet_power(r)/n <= level: it is dropped.
 
-    What is left is three runs of k per angle, within the sidelobe reach:
-    the windows whose far end is short of r, and those reaching past the
-    first null on either side.  Every pair in them meets at most three
-    tiers:
+       What is left is three runs of k per angle, within the sidelobe
+       reach: the windows whose far end is short of r, and those reaching
+       past the first null on either side.
+    2. Every pair in the runs gets _two_sample_bound, two kernel samples
+       that _windowed_min also evaluates, so never below its minimum.
+    3. Every pair whose bound reaches the level gets the full sampled
+       minimum (_windowed_min), A windows at a time.  One pick per angle
+       over its home beam and those pairs takes the largest minimum (equal
+       minima are equal bits: the kernel is a square), ties to the lowest k.
 
-    0. the exact _envelope_bound, with no kernel call;
-    1. for its survivors, _two_sample_bound, two kernel samples;
-    2. for theirs, visited per angle in decreasing tier-1 bound while that
-       bound still reaches the level, the full sampled minimum
-       (_windowed_min).
-
-    A pair's minimum does not depend on the batch that computes it, and
-    the pairs that attain a best at or above GUARD_FLOOR are never pruned.
-    The winner is tracked as (best, k), ties going to the lowest k, so at
-    or above GUARD_FLOOR gains and winners are those of evaluating every
-    beam in the ring's order.
+    A pair dropped in step 1 or 2 has a minimum below the level.  Where the
+    exact best gain is at or above GUARD_FLOOR the level lies below it, so
+    the pair can neither win nor tie, and as a pair's minimum does not
+    depend on its batch, the pick is that of every beam in the ring's order.
+    Below the floor a dropped pair can beat the pick, though not the floor,
+    so there the gain is a minimum some beam attains, at most the exact one.
     """
     L = centers.size
     F = scale.size
@@ -340,26 +323,22 @@ def _matched_codebook_sweep(n: int, centers: np.ndarray, sines: np.ndarray,
     h = (win_hi - win_lo) / (F - 1)
     e_lo = centers[j0] - win_hi             # the home window; offset k adds k*spacing
     e_hi = centers[j0] - win_lo
-    # _envelope_bound's residue factor, where every window at d > 0 holds a null
+    # the residue factor, where every window at d > 0 holds a null
     null_factor = np.where((win_hi - win_lo >= 2.0 / n) & (n > 1), _null_residue(n, h), 1.0)
-
-    def level_of(best):
-        top = np.maximum(best, GUARD_FLOOR)
-        return top - PROBE_TOL * np.maximum(top, 1.0)
 
     def krange(lo, hi):
         """The integers k with lo <= k*spacing <= hi, clipped to the ring."""
         return (np.ceil(np.clip(lo / spacing, k_lo - 1, k_hi + 1)).astype(np.int64),
                 np.floor(np.clip(hi / spacing, k_lo - 1, k_hi + 1)).astype(np.int64))
 
-    best = _windowed_min(n, e_lo, e_hi, F) / n
-    best_k = np.zeros(A, dtype=np.int64)
-    level = level_of(best)
+    home = _windowed_min(n, e_lo, e_hi, F) / n
+    top = np.maximum(home, GUARD_FLOOR)
+    level = top - PROBE_TOL * np.maximum(top, 1.0)
     reach = _envelope_reach(n, level / null_factor)
     flank = _lobe_reach(n, level)
-    # runs of k: within the sidelobe reach, where the peaks at +-2 are out of
-    # it, less the windows inside the main lobe whose far end lies at flank
-    # or beyond; then less k = 0
+    # step 1, runs of k: within the sidelobe reach, where the peaks at +-2
+    # are out of it, less the windows inside the main lobe whose far end
+    # lies at flank or beyond; then less k = 0
     near = ((e_hi + k_hi * spacing < 2.0 - reach - 1e-9)
             & (e_lo + k_lo * spacing > reach - 2.0 + 1e-9))
     in_lo, in_hi = krange(np.where(near, -reach - e_hi, -np.inf) - eps,
@@ -379,36 +358,24 @@ def _matched_codebook_sweep(n: int, centers: np.ndarray, sines: np.ndarray,
     c = centers[(j0[r] + k) % L]
     lo = c - win_hi[r]
     hi = c - win_lo[r]
-    m_lo, m_hi = _cut_range(n, lo, hi)
-    idx = np.flatnonzero(_envelope_bound(n, lo, hi, h[r], m_lo, m_hi) >= level[r])
-    bounded = idx.size
-    r, k, lo, hi = r[idx], k[idx], lo[idx], hi[idx]
-    u = _two_sample_bound(n, lo, hi, F, m_lo[idx], m_hi[idx]) / n
-    # survivors grouped by angle, each group in decreasing u
-    order = np.flatnonzero(u >= level[r])
-    order = order[np.argsort(-u[order])]
-    order = order[np.argsort(r[order], kind="stable")]
-    r, k, u, lo, hi = r[order], k[order], u[order], lo[order], hi[order]
-    count = np.bincount(r, minlength=A)
-    start = np.cumsum(count) - count
-    rows = np.flatnonzero(count)
-    swept = A
-    visit = 0
-    while rows.size:
-        i = start[rows] + visit
-        ok = u[i] >= level_of(best[rows])
-        rows, i = rows[ok], i[ok]
-        v = _windowed_min(n, lo[i], hi[i], F) / n
-        win = (v > best[rows]) | ((v == best[rows]) & (k[i] < best_k[rows]))
-        best[rows[win]] = v[win]
-        best_k[rows[win]] = k[i[win]]
-        swept += rows.size
-        visit += 1
-        rows = rows[count[rows] > visit]
+    bounded = r.size
+    # step 2: the two-sample bound against the level
+    keep = np.flatnonzero(_two_sample_bound(n, lo, hi, F) / n >= level[r])
+    r, k, lo, hi = r[keep], k[keep], lo[keep], hi[keep]
+    # step 3: full minima, A windows at a time, then one pick per angle over
+    # its home beam and the kept pairs
+    v = np.empty(r.size)
+    for i in range(0, r.size, A):
+        v[i:i + A] = _windowed_min(n, lo[i:i + A], hi[i:i + A], F) / n
+    best = home.copy()
+    np.maximum.at(best, r, v)
+    best_k = np.where(best == home, 0, k_hi + 1)     # past the ring: a kept pair wins
+    tie = v == best[r]
+    np.minimum.at(best_k, r[tie], k[tie])
     log.debug("matched path (response-vector codebook recognised): %d beams x %d "
               "angles, %d of %d candidate pairs given the full band minimum, "
               "%d pruned by the analytic bound, %d given the two-sample bound",
-              L, A, swept, A * L, A * (L - 1) - bounded, bounded)
+              L, A, A + r.size, A * L, A * (L - 1) - bounded, bounded)
     return best, (j0 + best_k) % L
 
 

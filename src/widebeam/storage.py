@@ -8,17 +8,18 @@ The writer emits schema version 2.  Every book the library builds is one
 beam shifted to each zone center, so a book whose beams check out as
 beam 0 shifted by steering(c_l - c_0) to the partition's centers c_l, to
 MODULUS_TOL, is stored as `reference_beam` (beam 0, bit for bit) and
-`centers`; the reader rebuilds all L beams from them in one steering
-product.  Any other book keeps the `beams` rows of version 1.  Version 2
-also names the zone `intervals` mapping, which the reader of a version 1
-file has to guess from `delta_omega`.  Both versions are read; only version
-2 is written.
+`centers`.  Each stored center must be the one the stored boundaries give,
+bit for bit, and the reader rebuilds all L beams from the reference beam
+and those centers in one steering product.  Any other book keeps the
+`beams` rows of version 1.  Version 2 also names the zone `intervals`
+mapping, which the reader of a version 1 file has to guess from
+`delta_omega`.  Both versions are read; only version 2 is written.
 
 The writer fills each row from one `%.17g` template; the reader checks a
 row one weight at a time (a shift book has one row, `reference_beam`).
 Every number must be a finite JSON number that fits a double.  The
-reader validates structure before constructing anything and reports the
-JSON pointer of the first offending field in document order.
+reader checks each field before it builds anything from it and reports
+the JSON pointer of the first offending field in document order.
 """
 
 from __future__ import annotations
@@ -138,21 +139,23 @@ def _weight_row(row, n: int, pointer: str) -> np.ndarray:
     return w
 
 
-def _center(value, pointer: str) -> float:
-    c = _number(value, pointer)
-    # composite values lie in (-2, 2); the pattern is 2-periodic anyway
-    _require(abs(c) <= 2.0, pointer, "must lie in [-2, 2]")
-    return c
+def _shifted_beams(doc: dict, n: int, partition: ZonePartition) -> np.ndarray:
+    """The (l, n) weights of a `reference_beam` + `centers` payload.
 
-
-def _shifted_beams(doc: dict, n: int, l: int) -> np.ndarray:
-    """The (l, n) weights of a `reference_beam` + `centers` payload."""
+    Each stored center must be the partition's, bit for bit (the sign of a
+    zero included), which every written file meets; the beams are rebuilt
+    from the partition's centers."""
     _require("beams" not in doc, "/beams", "not allowed next to reference_beam")
     reference = _weight_row(doc["reference_beam"], n, "/reference_beam")
+    centers = partition.centers()
+    l = centers.size
     centers_doc = doc.get("centers")
     _require(isinstance(centers_doc, list), "/centers", "expected a list")
     _require(len(centers_doc) == l, "/centers", f"expected {l} centers for l={l}")
-    centers = np.array([_center(v, f"/centers/{i}") for i, v in enumerate(centers_doc)])
+    for i, (v, c) in enumerate(zip(centers_doc, centers)):
+        x = _number(v, f"/centers/{i}")
+        _require(x == c and math.copysign(1.0, x) == math.copysign(1.0, c),
+                 f"/centers/{i}", f"must be the center {_f(c)} of zone {i + 1}")
     return _shifted(reference, centers)
 
 
@@ -204,8 +207,14 @@ def parse_codebook(text: str) -> tuple[Codebook, SystemConfig]:
         mapping = doc.get("intervals")
         _require(mapping in MAPPINGS, "/intervals", 'expected "banded" or "sine"')
 
+    cfg = SystemConfig(f_c=f_c, B=b, N=n, L=l)
+    if mapping is None:
+        widths = np.diff(zone_intervals(cfg, bvals, "banded"), axis=1)[:, 0]
+        mapping = "banded" if np.abs(widths - delta).max() <= 1e-9 else "sine"
+    partition = ZonePartition(bvals, delta, zone_intervals(cfg, bvals, mapping), mapping)
+
     if version == 2 and "reference_beam" in doc:
-        weights = _shifted_beams(doc, n, l)
+        weights = _shifted_beams(doc, n, partition)
     else:
         beams_doc = doc.get("beams")
         _require(isinstance(beams_doc, list), "/beams", "expected a list")
@@ -213,12 +222,6 @@ def parse_codebook(text: str) -> tuple[Codebook, SystemConfig]:
         weights = np.array([_weight_row(row, n, f"/beams/{i}")
                             for i, row in enumerate(beams_doc)])
     beams = BeamVector.rows(weights)
-
-    cfg = SystemConfig(f_c=f_c, B=b, N=n, L=l)
-    if mapping is None:
-        widths = np.diff(zone_intervals(cfg, bvals, "banded"), axis=1)[:, 0]
-        mapping = "banded" if np.abs(widths - delta).max() <= 1e-9 else "sine"
-    partition = ZonePartition(bvals, delta, zone_intervals(cfg, bvals, mapping), mapping)
     cb = Codebook.assemble(beams, partition, cfg, solver_cfg=None, kind="loaded")
     return cb, cfg
 

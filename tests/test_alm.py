@@ -44,6 +44,8 @@ class TestConfig:
     @pytest.mark.parametrize("kw", [
         dict(rho1=0.0), dict(rho2=-1.0), dict(beta1=0.0), dict(beta2=-1e-3),
         dict(n_ite=0), dict(eps=-1.0),
+        dict(rho1=float("nan")), dict(rho2=float("inf")), dict(beta1=float("nan")),
+        dict(beta2=float("inf")), dict(eps=float("nan")), dict(eps=float("inf")),
     ])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ValueError):

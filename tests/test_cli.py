@@ -294,6 +294,21 @@ class TestFailureModes:
             assert err.startswith("error: ") and "double precision" in err
             assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("key, literal", [("rho1", "NaN"), ("rho2", "1e400"),
+                                              ("beta2", "Infinity"), ("eps", "NaN")])
+    def test_non_finite_solver_setting_is_a_config_error(self, tmp_path, capsys, key,
+                                                         literal):
+        # NaN passes every sign check and 1e400 reads as inf; the solver
+        # would iterate on NaN and return the initializer as its design
+        cfgp = tmp_path / "config.json"
+        cfgp.write_text(f'{{"n": 32, "l": 64, "{key}": {literal}}}', encoding="utf-8")
+        out = tmp_path / "cb.json"
+        assert main(["design", str(cfgp), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{key} must be finite" in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_solver_failure_exits_three(self, small_config, tmp_path, capsys,
                                         monkeypatch):
         def boom(cfg, solver_cfg):

@@ -589,6 +589,11 @@ def _far_center(d):
     d["centers"][2] = 5.0
 
 
+def _moved_center(d):
+    # a beam pointing off its zone
+    d["centers"][3] += 0.05
+
+
 class TestVersion2ParseErrors:
     @pytest.mark.parametrize("mutate, error", [
         (_unknown_intervals, '/intervals: expected "banded" or "sine"'),
@@ -604,7 +609,8 @@ class TestVersion2ParseErrors:
         (_short_centers, "/centers: expected 16 centers for l=16"),
         (_string_center, "/centers/3: expected a number"),
         (_infinite_center, "/centers/1: expected a finite number"),
-        (_far_center, "/centers/2: must lie in [-2, 2]"),
+        (_far_center, "/centers/2: must be the center"),
+        (_moved_center, "/centers/3: must be the center"),
     ])
     def test_pointer_and_message(self, small_designed, mutate, error):
         doc = v2_doc_of(small_designed)
@@ -613,6 +619,15 @@ class TestVersion2ParseErrors:
             parse_codebook(json.dumps(doc))
         assert str(err.value).startswith(error)
         assert err.value.pointer == error.split(":")[0]
+
+    def test_center_keeps_the_sign_of_zero(self):
+        # the middle zone of an odd narrowband book is centred on +0.0
+        doc = v2_doc_of(narrowband_codebook(SystemConfig(f_c=140e9, B=10e9, N=4, L=15)))
+        assert doc["centers"][7] == 0 and math.copysign(1.0, doc["centers"][7]) == 1.0
+        doc["centers"][7] = -0.0
+        with pytest.raises(CodebookFormatError) as err:
+            parse_codebook(json.dumps(doc))
+        assert str(err.value) == "/centers/7: must be the center 0 of zone 8"
 
     def test_rows_payload_faults_keep_their_pointers(self, small_designed):
         doc = v2_doc_of(replace(small_designed, beams=tuple(
