@@ -37,7 +37,6 @@ from .storage import read_codebook, write_codebook
 from .zones import (
     ZonePartition,
     divide_zones,
-    next_boundary,
     prop3_upper_bound,
     virtual_interval,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "divide_zones",
     "evaluate",
     "narrowband_codebook",
-    "next_boundary",
     "prop1_worst_case",
     "prop2_optimal_N",
     "prop3_upper_bound",

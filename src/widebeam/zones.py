@@ -1,10 +1,11 @@
 """Equal-width virtual zone partition of the angle range [-pi/2, pi/2].
 
 Each angular zone maps to an interval of the composite variable
-u = (1 + f/f_c) * sin(phi).  The common width delta_omega that makes the
-last boundary land exactly on pi/2 is found by bisection; the terminal
-boundary is monotone increasing in the trial width, which makes the root
-simple.  2/delta_omega is an upper bound on any codebook's worst-case gain.
+u = (1 + f/f_c) * sin(phi).  Equal image widths make the boundary sines an
+affine recursion, so the common width delta_omega that lands the last
+boundary on pi/2, and every boundary with it, have a closed form that meets
+the equal-width conditions to rounding and mirrors exactly about broadside.
+2/delta_omega is an upper bound on any codebook's worst-case gain.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import numpy as np
 
 from .array_model import SystemConfig
 
-CLOSURE_TOL = 1e-12  # |phi_L - pi/2| target for the bisection
 MAPPINGS = ("banded", "sine")  # how zone_intervals maps boundaries to intervals
 
 
@@ -102,65 +102,26 @@ def zone_intervals(cfg: SystemConfig, boundaries: np.ndarray, mapping: str) -> n
                      np.where(hi <= 0, minus, plus) * s[1:]], axis=1)
 
 
-def next_boundary(cfg: SystemConfig, phi_prev: float, delta_omega: float) -> float:
-    """Next zone boundary after phi_prev for a trial width.
-
-    Outside the principal range the function returns a saturated sentinel
-    (pi/2 + excess above, -pi/2 + deficit below) instead of raising: both
-    sentinels are monotone in delta_omega, which keeps the bisection on a
-    single increasing branch with no special cases.  A return value of
-    pi/2 or more before the chain's last step L means the trial width is too
-    large: the remaining zones would be empty, so `_walk` counts it as an
-    overshoot, never as a closure.
-    """
-    s = np.sin(phi_prev)
-    fc, B = cfg.f_c, cfg.B
-    if phi_prev < 0:
-        num = delta_omega * fc + (fc + B / 2) * s
-        # the zone ends below zero iff its upper virtual edge is still negative
-        a = num / (fc - B / 2) if num <= 0 else num / (fc + B / 2)
-    else:
-        a = (delta_omega * fc + (fc - B / 2) * s) / (fc + B / 2)
-    if a > 1.0:
-        return np.pi / 2 + (a - 1.0)
-    if a < -1.0:
-        return -np.pi / 2 + (a + 1.0)
-    return float(np.arcsin(a))
-
-
-def _walk(cfg: SystemConfig, delta_omega: float) -> list[float]:
-    """The chain phi_0 = -pi/2, phi_1, ... at a trial width; the bisection reads its end.
-
-    The chain stops at a sentinel below -pi/2, or at pi/2 or more on a step
-    l < L: the width is then too large, whatever the excess, and the last
-    entry adds the L - l zones left empty, which keeps it clear of the
-    closure tolerance and on the overshoot side of the bisection.
-    """
-    chain = [-np.pi / 2]
-    for step in range(1, cfg.L + 1):
-        phi = next_boundary(cfg, chain[-1], delta_omega)
-        early = phi >= np.pi / 2 and step < cfg.L
-        chain.append(phi + (cfg.L - step) if early else phi)
-        if early or phi < -np.pi / 2:
-            break
-    return chain
-
-
 class PartitionLimitError(ValueError):
     """The equal-width zones are too narrow for double precision."""
 
 
 def divide_zones(cfg: SystemConfig) -> ZonePartition:
-    """Find the equal-width partition whose last boundary is pi/2.
+    """The equal-width partition whose last boundary is pi/2, in closed form.
 
-    B = 0 short-circuits to the exact uniform sine partition.  Otherwise the
-    width is bisected inside a bracket built from the extreme per-step sine
-    increments, doubling the bracket outward if an unusual configuration
-    escapes it.  At the converged width only phi_L can leave the range, and
-    it is set to pi/2.  PartitionLimitError if the boundaries then do not
-    strictly increase.
+    B = 0 short-circuits to the exact uniform sine partition.  Otherwise
+    write b = B/(2 f_c) and r = (1 - b)/(1 + b).  A zone of width
+    delta_omega above broadside takes the boundary sine s to
+    r*s + delta_omega/(1 + b), whose fixed point is delta_omega/(2b), so
+    s_l = delta_omega/(2b) * (1 - r^l (1 - t)) for l = 0..K, K = L // 2.
+    The first sine s_0 is broadside for even L (t = 0), or the edge of the
+    zone straddling broadside for odd L, whose image 2(1 + b)s_0 is one
+    width wide (t = b/(1 + b)).  s_K = 1 fixes delta_omega.  The negative
+    half is the exact mirror.  A band that underflows against f_c takes the
+    b -> 0 limit.  PartitionLimitError if the boundaries do not strictly
+    increase.
     """
-    L = cfg.L
+    L, K = cfg.L, cfg.L // 2
     if cfg.B == 0:
         delta = 2.0 / L
         boundaries = np.arcsin(-1.0 + 2.0 * np.arange(L + 1) / L)
@@ -168,31 +129,21 @@ def divide_zones(cfg: SystemConfig) -> ZonePartition:
         return ZonePartition(boundaries, delta, zone_intervals(cfg, boundaries, "sine"),
                              "sine")
 
-    ratio_lo = (cfg.f_c - cfg.B / 2) / (cfg.f_c + cfg.B / 2)
-    lo = (2.0 / L) * ratio_lo
-    hi = (2.0 / L) / ratio_lo + cfg.B / cfg.f_c
-    target = np.pi / 2
-    for _ in range(10):
-        if _walk(cfg, lo)[-1] <= target <= _walk(cfg, hi)[-1]:
-            break
-        lo *= 0.5
-        hi *= 2.0
+    b = cfg.B / (2.0 * cfg.f_c)
+    l = np.arange(K + 1)
+    if b == 0.0:  # the band underflows against f_c: the b -> 0 limit
+        s = (2.0 * l + L % 2) / L
+        delta = 2.0 / L
     else:
-        raise RuntimeError("zone bisection bracket failed to straddle pi/2")
-
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        phi_L = _walk(cfg, mid)[-1]
-        if abs(phi_L - target) <= CLOSURE_TOL:
-            lo = hi = mid
-            break
-        if phi_L < target:
-            lo = mid
-        else:
-            hi = mid
-    delta = 0.5 * (lo + hi)
-
-    boundaries = np.array(_walk(cfg, delta)[:L] + [np.pi / 2])
+        lc = l * (-2.0 * np.arctanh(b))  # l * log r
+        t = b / (1.0 + b) if L % 2 else 0.0
+        num = -np.expm1(lc) + np.exp(lc) * t  # 1 - r^l (1 - t), without cancellation
+        s = num / num[-1]
+        delta = 2.0 * b / num[-1]
+    half = np.arcsin(s)
+    half[-1] = np.pi / 2
+    # mirror s_K..s_1, and s_0 too unless it is the broadside boundary 0
+    boundaries = np.concatenate([-half[::-1][:L - K], half])
     if np.any(np.diff(boundaries) <= 0):
         raise PartitionLimitError(
             f"no partition into L={L} zones at B={cfg.B:g} Hz: the zones shrink "

@@ -280,8 +280,8 @@ class TestFailureModes:
         assert capsys.readouterr().err == (
             f"error: /config/{key}: expected integer >= 1\n")
 
-    @pytest.mark.parametrize("overrides", [{"l": 1024}, {"b_hz": 18e9, "l": 520},
-                                           {"b_hz": 270e9, "l": 20}])
+    @pytest.mark.parametrize("overrides", [{"l": 1024}, {"b_hz": 18e9, "l": 544},
+                                           {"b_hz": 270e9, "l": 22}])
     def test_partition_limit_is_a_config_error(self, write_config, tmp_path,
                                                capsys, overrides):
         cfgp = write_config(**overrides)

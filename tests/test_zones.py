@@ -1,4 +1,6 @@
-"""Zone division: the bisection on the common virtual width."""
+"""Zone division: the closed-form equal-width partition, checked zone by
+zone against virtual_interval and against widths frozen from the bisection
+that preceded it."""
 
 import re
 
@@ -8,8 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from widebeam import SystemConfig, divide_zones, prop3_upper_bound
-from widebeam.zones import (PartitionLimitError, ZonePartition, next_boundary,
-                            virtual_interval, zone_intervals)
+from widebeam.zones import (PartitionLimitError, ZonePartition, virtual_interval,
+                            zone_intervals)
 
 # frozen by running the bisection once and keeping 15 digits; the L=1 value
 # has a closed form 2*(1 + B/(2*f_c)) = 2.0714285714285716
@@ -70,21 +72,6 @@ def test_zero_band_is_exact_arcsine():
     assert np.abs(part.boundaries - exact).max() <= 1e-12
 
 
-def test_next_boundary_positive_branch():
-    # starting at broadside the next edge lands where the slowest band edge
-    # has swept one full width: sin(phi) = delta_omega * f_c / (f_c + B/2)
-    cfg = make(32)
-    got = next_boundary(cfg, 0.0, 0.1)
-    assert got == pytest.approx(np.arcsin(0.1 * 140 / 145), abs=1e-12)
-
-
-def test_next_boundary_monotone_in_width():
-    cfg = make(32)
-    widths = np.linspace(0.01, 0.5, 40)
-    phis = [next_boundary(cfg, -0.7, w) for w in widths]
-    assert np.all(np.diff(phis) > 0)
-
-
 def test_virtual_interval_three_cases():
     cfg = make(32)
     b2 = 10e9 / 280e9
@@ -100,17 +87,18 @@ def test_virtual_interval_three_cases():
 
 
 @given(st.integers(1, 60), st.floats(0.0, 20e9))
-# bands near double resolution of f_c, where bisection midpoints can reach
-# pi/2 before step L; accepting such a chain leaves the last zones empty
+# bands near double resolution of f_c, a denormal B/(2 f_c), and one that
+# underflows to 0 and takes the b -> 0 limit
 @example(L=30, B=1e-9)
 @example(L=55, B=1.3788828136375911e-303)
 @example(L=45, B=1e-6)
+@example(L=1, B=5e-324)
 @settings(max_examples=60, deadline=None)
 def test_division_closes_for_any_shape(L, B):
     part = divide_zones(make(L, B, N=8))
     assert abs(part.boundaries[-1] - np.pi / 2) <= 1e-12
     widths = part.intervals[:, 1] - part.intervals[:, 0]
-    assert np.abs(widths - part.delta_omega).max() <= 1e-9
+    assert np.abs(widths - part.delta_omega).max() <= 1e-12 * part.delta_omega
 
 
 @pytest.mark.parametrize("L,B", [(1, 10e9), (32, 10e9), (33, 2e9), (200, 18e9)])
@@ -147,11 +135,30 @@ def test_single_zone_wider_than_a_period_caps_the_bound_at_one():
     assert prop3_upper_bound(divide_zones(make(1, 0.0))) == 1.0
 
 
-@pytest.mark.parametrize("L, B", [(1024, 10e9), (520, 18e9), (20, 270e9)])
+@pytest.mark.parametrize("L, B", [(1024, 10e9), (544, 18e9), (22, 270e9)])
 def test_partition_beyond_double_precision_is_named(L, B):
     with pytest.raises(PartitionLimitError,
                        match=re.escape(f"L={L} zones at B={B:g} Hz") + ".*double precision"):
         divide_zones(make(L, B))
+
+
+@pytest.mark.parametrize("L, B", [(520, 18e9), (20, 270e9)])
+def test_partitions_just_inside_double_precision_have_equal_widths(L, B):
+    # the last zones here are a few ulps of sin(phi) wide, but the closed
+    # form still resolves them
+    cfg = make(L, B)
+    part = divide_zones(cfg)
+    assert np.all(np.diff(part.boundaries) > 0)
+    widths = [np.diff(virtual_interval(cfg, lo, hi))[0]
+              for lo, hi in zip(part.boundaries[:-1], part.boundaries[1:])]
+    assert np.abs(np.array(widths) - part.delta_omega).max() <= 1e-14 * part.delta_omega
+
+
+@pytest.mark.parametrize("L", [17, 512])
+@pytest.mark.parametrize("B", [10e9, 18e9])
+def test_banded_boundaries_are_exactly_antisymmetric(L, B):
+    b = divide_zones(make(L, B)).boundaries
+    assert np.array_equal(np.sin(b) + np.sin(b[::-1]), np.zeros(L + 1))
 
 
 @pytest.mark.parametrize("B", [10e9, 18e9])
