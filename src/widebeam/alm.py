@@ -12,6 +12,10 @@ modulus constraint, r for the target phases) give closed-form block updates:
     r: phase projection of y + S^H w + u_bar
     duals: scaled ascent with small steps beta1, beta2
 
+S is built by doubling (array_model.phase_powers), so only log2(N) of its
+rows call exp.  Every phase projection is z/|z| (unit_phase), one abs and
+one division per entry instead of an angle and a complex exp.
+
 The window is symmetric about 0, so S S^H is real (entry (i, k) is the sum
 over the grid of cos(pi (i - k) u_m)).  One real eigendecomposition of it
 gives K = (rho1 S S^H + rho2 I)^-1, and the w-update's operators are
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_model import BeamVector, SystemConfig, steering_composite
+from .array_model import BeamVector, SystemConfig, phase_powers
 
 SCORE_ROWS = 32         # iterates scored per product against S^H
 
@@ -73,12 +77,26 @@ class SolverConfig:
 
 
 def build_grid(n: int, delta_omega: float, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """M uniform composite points over the window, endpoints included, plus S."""
+    """M uniform composite points over the window, endpoints included, plus
+    S[k, m] = exp(j*pi*k*points[m]), built by doubling."""
     if m < 2:
         raise ValueError(f"M must be >= 2, got {m}")
     points = -delta_omega / 2 + np.arange(m) * (delta_omega / (m - 1))
-    S = steering_composite(n, points).T.copy()
-    return S, points
+    return phase_powers(n, -points), points
+
+
+def unit_phase(z: np.ndarray) -> np.ndarray:
+    """z/|z| elementwise, and 1 where z == 0 (arg(0) taken as 0).
+
+    The same point as exp(1j*angle(z)) to rounding, without the angle and
+    the complex exp.
+    """
+    r = np.abs(z)
+    zero = r == 0
+    r[zero] = 1.0
+    p = z / r
+    p[zero] = 1.0
+    return p
 
 
 def w_system(S: np.ndarray, S_h: np.ndarray, rho1: float,
@@ -114,7 +132,7 @@ def update_y(target: np.ndarray, s_hw: np.ndarray, u_bar: np.ndarray,
     c = target - s_hw - u_bar
     ac = np.abs(c)
     alpha = max((rho1 * ac.sum() - 1.0) / (c.size * rho1), 0.0)
-    return np.where(ac <= alpha, c, alpha * np.exp(1j * np.angle(c)))
+    return np.where(ac <= alpha, c, alpha * unit_phase(c))
 
 
 def update_w(ops: tuple[np.ndarray, np.ndarray], v: np.ndarray,
@@ -126,12 +144,12 @@ def update_w(ops: tuple[np.ndarray, np.ndarray], v: np.ndarray,
 
 def update_x(w: np.ndarray, lambda_bar: np.ndarray) -> np.ndarray:
     """Nearest constant-modulus point to w + lambda_bar; arg(0) taken as 0."""
-    return np.exp(1j * np.angle(w + lambda_bar)) / np.sqrt(w.size)
+    return unit_phase(w + lambda_bar) / np.sqrt(w.size)
 
 
 def update_r(y: np.ndarray, s_hw: np.ndarray, u_bar: np.ndarray) -> np.ndarray:
     """Unit-modulus phase targets aligned with y + S^H w + u_bar."""
-    return np.exp(1j * np.angle(y + s_hw + u_bar))
+    return unit_phase(y + s_hw + u_bar)
 
 
 def update_duals(u_bar: np.ndarray, lambda_bar: np.ndarray, residual: np.ndarray,
@@ -167,7 +185,7 @@ def solve(
     # feasible start: w = x = init, zero multipliers, targets matched to S^H w
     x = w = init.weights
     s_hw = S_h @ w
-    target = sqrt_n * np.exp(1j * np.angle(s_hw))
+    target = sqrt_n * unit_phase(s_hw)
     u_bar = np.zeros(S_h.shape[0], dtype=complex)
     lambda_bar = np.zeros(cfg.N, dtype=complex)
 

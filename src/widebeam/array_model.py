@@ -114,6 +114,27 @@ def steering_composite(n: int, u) -> np.ndarray:
     return np.exp(1j * np.pi * np.multiply.outer(np.asarray(u, dtype=float), k))
 
 
+def phase_powers(n: int, u) -> np.ndarray:
+    """E[k, m] = exp(-j*pi*k*u[m]) for k = 0..n-1 and a 1-D u, built by doubling.
+
+    Only the rows k = 1, 2, 4, ... call exp; every other block is one
+    product E[h:2h] = E[:h] * exp(-j*pi*h*u).  Row k is then a product of
+    popcount(k) exponentials, so the rounding error grows with log2(n),
+    not with n as it would along the plain recurrence E[k] = E[k-1]*E[1].
+    The design path builds its steering tables here; steering_composite
+    and composite_gain keep one exp per entry.
+    """
+    u = np.asarray(u, dtype=float)
+    E = np.empty((n, u.size), dtype=complex)
+    E[0] = 1.0
+    h = 1
+    while h < n:
+        m = min(h, n - h)
+        np.multiply(E[:m], np.exp(-1j * np.pi * h * u), out=E[h:h + m])
+        h *= 2
+    return E
+
+
 def composite_gain(weights: np.ndarray, u) -> np.ndarray:
     """|h(u)^H w|^2 evaluated at composite value(s) u; shape follows u."""
     u = np.asarray(u, dtype=float)

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import alm
 from .array_model import (BeamVector, SystemConfig, dirichlet_power,
-                          steering_composite)
+                          phase_powers, steering_composite)
 from .prv import prv_beam, prv_plan
 from .zones import ZonePartition, divide_zones, sine_centers, zone_intervals
 
@@ -142,7 +142,7 @@ def _matched_centers(cfg: SystemConfig, cb: Codebook) -> np.ndarray | None:
     Recognized: uniform sine zone boundaries and every beam equal to the
     response vector at its zone's sine center, both within 1e-9.  This is
     what the narrowband constructor emits and what its JSON round-trip
-    produces.  The response vectors are built by doubling (_phase_powers),
+    produces.  The response vectors are built by doubling (phase_powers),
     whose rounding lies far below the tolerance.
     """
     L = len(cb)
@@ -151,7 +151,7 @@ def _matched_centers(cfg: SystemConfig, cb: Codebook) -> np.ndarray | None:
         return None
     centers = sine_centers(L)
     weights = np.stack([w.weights for w in cb.beams])
-    if np.abs(weights - _phase_powers(cfg.N, -centers).T / np.sqrt(cfg.N)).max() > 1e-9:
+    if np.abs(weights - phase_powers(cfg.N, -centers).T / np.sqrt(cfg.N)).max() > 1e-9:
         return None
     return centers
 
@@ -379,24 +379,6 @@ def _matched_codebook_sweep(n: int, centers: np.ndarray, sines: np.ndarray,
     return best, (j0 + best_k) % L
 
 
-def _phase_powers(n: int, u: np.ndarray) -> np.ndarray:
-    """E[k, m] = exp(-j*pi*k*u[m]) for k = 0..n-1, built by doubling.
-
-    Only the rows k = 1, 2, 4, ... call exp; every other block is one
-    product E[h:2h] = E[:h] * exp(-j*pi*h*u).  Row k is then a product of
-    popcount(k) exponentials, so the rounding error grows with log2(n),
-    not with n as it would along the plain recurrence E[k] = E[k-1]*E[1].
-    """
-    E = np.empty((n, u.size), dtype=complex)
-    E[0] = 1.0
-    h = 1
-    while h < n:
-        m = min(h, n - h)
-        np.multiply(E[:m], np.exp(-1j * np.pi * h * u), out=E[h:h + m])
-        h *= 2
-    return E
-
-
 def _general_sweep(weights: np.ndarray, sines: np.ndarray,
                    scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-angle max over beams of the band-minimum gain, for any codebook.
@@ -429,7 +411,7 @@ def _general_sweep(weights: np.ndarray, sines: np.ndarray,
     for a0 in range(0, sines.size, block):
         s = sines[a0:a0 + block]
         cols = np.arange(s.size)
-        E = _phase_powers(n, np.multiply.outer(scale, s).ravel()).reshape(n, F, s.size)
+        E = phase_powers(n, np.multiply.outer(scale, s).ravel()).reshape(n, F, s.size)
         P = np.abs(weights @ E[:, probes].reshape(n, -1)) ** 2
         U = P.reshape(L, probes.size, s.size).min(axis=1)
         cand = U.argmax(axis=0)

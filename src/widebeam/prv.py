@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_model import BeamVector, composite_gain
+from .array_model import BeamVector, phase_powers
 
 COVERAGE_GRID = 512    # points for the construction-time positivity check
 COVERAGE_FLOOR = 1e-9  # least gain it accepts: 1e-9 of a constant-modulus beam's mean gain, 1
@@ -70,6 +70,17 @@ def prv_plan(n: int, delta_omega: float) -> PrvPlan:
                    pointing=pointing, intersections=intersections)
 
 
+def coverage_floor(w: np.ndarray, half: float) -> float:
+    """Least gain |h(u)^H w|^2 over COVERAGE_GRID points spanning [-half, half].
+
+    The steering table comes from phase_powers, whose rounding differs from
+    composite_gain's per-entry exp only in the last bits; a threshold check
+    does not need those bits.
+    """
+    u = np.linspace(-half, half, COVERAGE_GRID)
+    return float((np.abs(w @ phase_powers(w.size, u)) ** 2).min())
+
+
 def prv_beam(plan: PrvPlan) -> BeamVector:
     """Stack the phased sub-array responses into one constant-modulus beam.
 
@@ -77,7 +88,9 @@ def prv_beam(plan: PrvPlan) -> BeamVector:
     block is conjugated into the library's +j convention.  Rather than trust
     that algebra, the beam pattern is checked right here: the gain must
     exceed COVERAGE_FLOOR over the whole window the plan was built for, so
-    a null computed to rounding (a gain near 1e-30) is a null.
+    a null computed to rounding (a gain near 1e-30) is a null.  The check
+    reads the gain on COVERAGE_GRID points through a doubled steering table
+    (coverage_floor).
     """
     k = np.arange(plan.N_s)
     blocks = [
@@ -86,7 +99,7 @@ def prv_beam(plan: PrvPlan) -> BeamVector:
     ]
     w = np.conj(np.concatenate(blocks)) / np.sqrt(plan.n)
     half = min(plan.intersections[-1], 1.0)  # window clamped into one period
-    floor = composite_gain(w, np.linspace(-half, half, COVERAGE_GRID)).min()
+    floor = coverage_floor(w, half)
     if not floor > COVERAGE_FLOOR:
         raise RuntimeError(
             f"sub-array stack leaves a null inside its window (min gain {floor:.3e})"

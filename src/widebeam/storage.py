@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .array_model import MODULUS_TOL, BeamVector, SystemConfig, steering_composite
+from .array_model import MODULUS_TOL, BeamVector, SystemConfig, phase_powers
 from .codebook import Codebook
 from .zones import MAPPINGS, ZonePartition, zone_intervals
 
@@ -55,8 +55,10 @@ def _pairs(weights: np.ndarray) -> str:
 
 
 def _shifted(reference: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Rows reference * steering(c_l - c_0); row 0 is reference bit for bit."""
-    rows = reference * steering_composite(reference.size, centers - centers[0])
+    """Rows reference * steering(c_l - c_0), C-ordered; row 0 is reference
+    bit for bit.  The steering table is built by doubling (phase_powers)."""
+    rows = np.multiply(phase_powers(reference.size, centers[0] - centers).T,
+                       reference, order="C")
     rows[0] = reference  # a product with 1 + 0j can flip the sign of a zero
     return rows
 

@@ -10,6 +10,7 @@ from widebeam.alm import (
     SCORE_ROWS,
     build_grid,
     solve,
+    unit_phase,
     update_duals,
     update_r,
     update_w,
@@ -180,6 +181,21 @@ class TestProjections:
         assert np.allclose(np.abs(r), 1.0, atol=1e-15)
         # phase projection maximizes Re<r, v> among unit-modulus vectors
         assert np.allclose(r * np.abs(v), v, atol=1e-9)
+
+    def test_unit_phase_has_unit_modulus(self):
+        rng = np.random.default_rng(10)
+        z = rng.normal(size=4096) + 1j * rng.normal(size=4096)
+        z *= 10.0 ** rng.uniform(-150, 150, z.size)
+        assert np.abs(np.abs(unit_phase(z)) - 1.0).max() <= 1e-15
+
+    def test_unit_phase_of_zero_is_one(self):
+        z = np.array([0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0), 2j])
+        assert np.array_equal(unit_phase(z), [1, 1, 1, 1, 1j])
+
+    def test_unit_phase_agrees_with_exp_of_angle(self):
+        rng = np.random.default_rng(11)
+        z = rng.normal(size=4096) + 1j * rng.normal(size=4096)
+        assert np.abs(unit_phase(z) - np.exp(1j * np.angle(z))).max() <= 1e-15
 
     def test_duals_are_scaled_ascent(self):
         it = random_iterates(seed=9)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from widebeam.array_model import (
@@ -10,6 +10,7 @@ from widebeam.array_model import (
     SystemConfig,
     composite_gain,
     dirichlet_power,
+    phase_powers,
     steering_composite,
     wideband_beam_gain,
 )
@@ -92,6 +93,39 @@ class TestSteering:
         k = np.arange(16)
         assert np.allclose(steering_composite(16, u), np.exp(1j * np.pi * np.outer(u, k)),
                            atol=1e-12)
+
+
+class TestPhasePowers:
+    @staticmethod
+    def reference(n, u):
+        # exp with the phase k*u reduced mod 2 exactly: split u into two
+        # halves of at most 26 significant bits, so that k*hi and k*lo are
+        # exact for k < 2**11 and only the final sum rounds
+        c = u * (2.0 ** 27 + 1.0)
+        hi = c - (c - u)
+        k = np.arange(n)[:, None]
+        phase = np.fmod(k * hi, 2.0) + k * (u - hi)
+        return np.exp(-1j * np.pi * phase)
+
+    @settings(deadline=None, max_examples=60)
+    @given(n=st.integers(1, 1024),
+           u=st.lists(st.floats(-2, 2), min_size=1, max_size=40))
+    @example(n=1024, u=list(np.linspace(-2, 2, 101)))
+    def test_matches_exp(self, n, u):
+        u = np.array(u + [-2.0, 2.0, -1.0, 1.0, 0.0])
+        E = phase_powers(n, u)
+        assert np.array_equal(E[0], np.ones(u.size))
+        assert np.abs(E - self.reference(n, u)).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 255, 256])
+    def test_matches_per_entry_exp(self, n):
+        # |u| <= 2 spans the zone-center differences the codebook reader
+        # shifts by.  The per-entry exp rounds its own argument pi*k*u, so
+        # the two differ by a bound that grows with log2(n), 0 at n = 1
+        rng = np.random.default_rng(n)
+        u = np.concatenate([rng.uniform(-2, 2, 500), [-2.0, -1.0, 0.0, 1.0, 2.0]])
+        expect = np.exp(-1j * np.pi * np.outer(np.arange(n), u))
+        assert np.abs(phase_powers(n, u) - expect).max() <= 1e-13 * np.log2(n)
 
 
 class TestDirichletPower:

@@ -30,7 +30,6 @@ from widebeam.codebook import (
     _matched_codebook_sweep,
     _null_residue,
     _per_zone_worst,
-    _phase_powers,
     _two_sample_bound,
     _windowed_min,
     shift_beam,
@@ -422,29 +421,6 @@ class TestMatchedSweepExactness:
         centers = (2.0 * np.arange(1, 33) - 1.0) / 32 - 1.0
         for w, c in zip(book.beams, centers):
             assert np.array_equal(w.weights, steering_composite(16, c) / np.sqrt(16))
-
-
-class TestPhasePowers:
-    @staticmethod
-    def reference(n, u):
-        # exp with the phase k*u reduced mod 2 exactly: split u into two
-        # halves of at most 26 significant bits, so that k*hi and k*lo are
-        # exact for k < 2**11 and only the final sum rounds
-        c = u * (2.0 ** 27 + 1.0)
-        hi = c - (c - u)
-        k = np.arange(n)[:, None]
-        phase = np.fmod(k * hi, 2.0) + k * (u - hi)
-        return np.exp(-1j * np.pi * phase)
-
-    @settings(deadline=None, max_examples=60)
-    @given(n=st.integers(1, 1024),
-           u=st.lists(st.floats(-2, 2), min_size=1, max_size=40))
-    @example(n=1024, u=list(np.linspace(-2, 2, 101)))
-    def test_matches_exp(self, n, u):
-        u = np.array(u + [-2.0, 2.0, -1.0, 1.0, 0.0])
-        E = _phase_powers(n, u)
-        assert np.array_equal(E[0], np.ones(u.size))
-        assert np.abs(E - self.reference(n, u)).max() <= 1e-12
 
 
 class TestGeneralSweepExactness:

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from widebeam import SystemConfig, divide_zones
 from widebeam.array_model import composite_gain
-from widebeam.prv import prv_beam, prv_plan
+from widebeam.prv import COVERAGE_GRID, coverage_floor, prv_beam, prv_plan
 
 
 def block_responses(plan, w, t):
@@ -78,6 +79,31 @@ class TestBeam:
         # window's end, which the coverage grid computes as about 1e-30
         with pytest.raises(RuntimeError, match="null inside its window"):
             prv_beam(prv_plan(16, 2.0714285714))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_coverage_floor_is_the_exp_oracle_floor(self, seed):
+        # the doubled steering table against composite_gain's per-entry exp,
+        # on windows narrower than one period of the pattern
+        rng = np.random.default_rng(seed)
+        for _ in range(10):
+            n = int(rng.choice([4, 8, 12, 16, 32, 64, 128, 256]))
+            plan = prv_plan(n, rng.uniform(0.0, 1.9))
+            w = prv_beam(plan).weights
+            half = min(plan.intersections[-1], 1.0)
+            expect = composite_gain(w, np.linspace(-half, half, COVERAGE_GRID)).min()
+            assert coverage_floor(w, half) == pytest.approx(expect, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 16, 64, 256])
+    def test_one_zone_null_at_even_n(self, n):
+        # one zone at B=10 GHz: the even-N stack has a null in its window,
+        # which the table floor must still see (CLI exit 3); odd N has none
+        cfg = SystemConfig(f_c=140e9, B=10e9, N=n, L=1)
+        plan = prv_plan(n, divide_zones(cfg).delta_omega)
+        if n % 2:
+            assert prv_beam(plan).n == n
+        else:
+            with pytest.raises(RuntimeError, match="null inside its window"):
+                prv_beam(plan)
 
     def test_in_phase_at_intersections(self):
         # adjacent block responses must add coherently where their patterns
