@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import MISSING, asdict, fields, replace
 
 import numpy as np
 
@@ -29,21 +29,15 @@ EXIT_IO = 2
 EXIT_SOLVER = 3
 
 # flat JSON config; every key optional, defaults are the reference
-# experiment settings (140 GHz carrier, 10 GHz band, 16 antennas, 32 beams)
+# experiment settings (140 GHz carrier, 10 GHz band, 16 antennas, 32 beams),
+# then SystemConfig's grid defaults (m = null means 2n) and SolverConfig's
 CONFIG_DEFAULTS = {
     "f_c_hz": 140e9,
     "b_hz": 10e9,
     "n": 16,
     "l": 32,
-    "m": None,          # solver grid points; null means 2n
-    "n_freq": 257,
-    "n_angle": 1024,
-    "rho1": 1.0,
-    "rho2": 1.0,
-    "beta1": 1e-3,
-    "beta2": 1e-3,
-    "n_ite": 50,
-    "eps": 0.0,
+    **{f.name.lower(): f.default for f in fields(SystemConfig) if f.default is not MISSING},
+    **asdict(SolverConfig()),
 }
 
 _INT_KEYS = {"n", "l", "m", "n_freq", "n_angle", "n_ite"}
@@ -79,11 +73,9 @@ def load_config(path: str) -> tuple[SystemConfig, SolverConfig]:
             N=merged["n"], L=merged["l"], M=merged["m"],
             n_freq=merged["n_freq"], n_angle=merged["n_angle"],
         )
-        solver_cfg = SolverConfig(
-            rho1=float(merged["rho1"]), rho2=float(merged["rho2"]),
-            beta1=float(merged["beta1"]), beta2=float(merged["beta2"]),
-            n_ite=merged["n_ite"], eps=float(merged["eps"]),
-        )
+        solver_cfg = SolverConfig(**{
+            f.name: float(merged[f.name]) if isinstance(f.default, float) else merged[f.name]
+            for f in fields(SolverConfig)})
     except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"{path}: {e}") from e
     return cfg, solver_cfg

@@ -3,11 +3,12 @@
 One prototype beam is optimized over a centered virtual window and then
 shifted to every zone center by an element-wise steering product; the shift
 translates the whole gain pattern, so all zones inherit the same local
-worst case.  Evaluation sweeps angle x frequency grids.  Both sweep paths
-prune by one rule: a beam's gain at any one frequency bounds its band
-minimum from above, so a beam whose bound falls below a band minimum that
-another beam attains can neither win nor tie, and is never swept over the
-full band.  For codebooks made of plain response vectors the sweep
+worst case.  A book holds its L beams as one read-only (L, N) block,
+`book.weights`.  Evaluation sweeps angle x frequency grids.  Both sweep
+paths prune by one rule: a beam's gain at any one frequency bounds its
+band minimum from above, so a beam whose bound falls below a band minimum
+that another beam attains can neither win nor tie, and is never swept over
+the full band.  For codebooks made of plain response vectors the sweep
 collapses to Dirichlet-kernel lookups in three steps.  Each angle's
 candidate beams come as runs of offsets read off in closed form, where the
 kernel's sidelobe envelope, less the main lobe's flank, can reach the level
@@ -25,13 +26,13 @@ from __future__ import annotations
 
 import hashlib
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import alm
-from .array_model import (BeamVector, SystemConfig, dirichlet_power,
-                          phase_powers, steering_composite)
+from .array_model import (BeamVector, SystemConfig, check_modulus,
+                          dirichlet_power, phase_powers, steering_composite)
 from .prv import prv_beam, prv_plan
 from .zones import ZonePartition, divide_zones, sine_centers, zone_intervals
 
@@ -47,38 +48,48 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class Codebook:
-    """L beams, the partition that generated them, and a provenance record."""
+    """L beams as a read-only (L, N) complex copy `weights`, row l the beam
+    of zone l + 1, its shape and constant modulus checked once; the
+    partition that generated them; and a provenance record."""
 
-    beams: tuple[BeamVector, ...]
+    weights: np.ndarray
     partition: ZonePartition
     provenance: dict
 
     def __post_init__(self):
-        if len(self.beams) != self.partition.n_zones:
-            raise ValueError(
-                f"{len(self.beams)} beams for {self.partition.n_zones} zones"
-            )
-        object.__setattr__(self, "beams", tuple(self.beams))
+        w = np.array(self.weights, dtype=complex)
+        if w.ndim != 2 or w.shape[0] != self.partition.n_zones or w.shape[1] == 0:
+            raise ValueError(f"weights of shape {w.shape} for {self.partition.n_zones} zones")
+        check_modulus(w)
+        w.setflags(write=False)
+        object.__setattr__(self, "weights", w)
 
     def __len__(self) -> int:
-        return len(self.beams)
+        return self.weights.shape[0]
+
+    @property
+    def beams(self) -> tuple[BeamVector, ...]:
+        """One BeamVector per row of the block."""
+        return tuple(BeamVector(row) for row in self.weights)
 
     @classmethod
     def assemble(cls, beams, partition: ZonePartition, cfg: SystemConfig,
                  solver_cfg, kind: str) -> "Codebook":
+        """The book of an (L, N) block or a sequence of BeamVectors; the
+        shape must be cfg's (L, N), as the file reader requires."""
+        weights = np.asarray(beams, dtype=complex)
+        if weights.shape != (cfg.L, cfg.N):
+            raise ValueError(f"weights of shape {weights.shape} for "
+                             f"L={cfg.L}, N={cfg.N}: expected ({cfg.L}, {cfg.N})")
         prov = {
             "kind": kind,
             "config": {"f_c": cfg.f_c, "B": cfg.B, "N": cfg.N, "L": cfg.L,
                        "M": cfg.solver_grid_size},
-            "solver": None if solver_cfg is None else {
-                "rho1": solver_cfg.rho1, "rho2": solver_cfg.rho2,
-                "beta1": solver_cfg.beta1, "beta2": solver_cfg.beta2,
-                "n_ite": solver_cfg.n_ite, "eps": solver_cfg.eps,
-            },
+            "solver": None if solver_cfg is None else asdict(solver_cfg),
         }
         digest = hashlib.sha256(repr(sorted(prov.items(), key=str)).encode())
         prov["input_sha256"] = digest.hexdigest()
-        return cls(beams=tuple(beams), partition=partition, provenance=prov)
+        return cls(weights=weights, partition=partition, provenance=prov)
 
 
 @dataclass(frozen=True)
@@ -116,9 +127,8 @@ def build_codebook(cfg: SystemConfig, solver_cfg: alm.SolverConfig | None = None
     solver_cfg = solver_cfg or alm.SolverConfig()
     partition = divide_zones(cfg)
     prototype = _prototype(cfg, solver_cfg, partition.delta_omega)
-    beams = BeamVector.rows(prototype.weights
-                            * steering_composite(cfg.N, partition.centers()))
-    return Codebook.assemble(beams, partition, cfg, solver_cfg, kind="wideband")
+    weights = prototype.weights * steering_composite(cfg.N, partition.centers())
+    return Codebook.assemble(weights, partition, cfg, solver_cfg, kind="wideband")
 
 
 def design_beam_for_aod(cfg: SystemConfig, solver_cfg: alm.SolverConfig | None,
@@ -150,8 +160,7 @@ def _matched_centers(cfg: SystemConfig, cb: Codebook) -> np.ndarray | None:
     if np.abs(np.sin(cb.partition.boundaries) - expected_bounds).max() > 1e-9:
         return None
     centers = sine_centers(L)
-    weights = np.stack([w.weights for w in cb.beams])
-    if np.abs(weights - phase_powers(cfg.N, -centers).T / np.sqrt(cfg.N)).max() > 1e-9:
+    if np.abs(cb.weights - phase_powers(cfg.N, -centers).T / np.sqrt(cfg.N)).max() > 1e-9:
         return None
     return centers
 
@@ -427,6 +436,9 @@ def _general_sweep(weights: np.ndarray, sines: np.ndarray,
         gains[a0:a0 + s.size] = G[w, cols]
         winner[a0:a0 + s.size] = rows[w]
         swept += rows.size * s.size
+        # free this block's phase table before the next block builds its
+        # own, so that peak memory holds one table, not two
+        del E
     log.debug("general path (not a response-vector codebook): %d of %d "
               "beam x angle pairs swept over the full band", swept, L * sines.size)
     return gains, winner
@@ -449,11 +461,10 @@ def _per_zone_worst(cfg: SystemConfig, cb: Codebook,
     if centers is not None:
         return _windowed_min(cfg.N, lo - centers, hi - centers, ZONE_GRID) / cfg.N
     grid = np.ascontiguousarray(np.linspace(lo, hi, ZONE_GRID, axis=1))
-    weights = np.stack([w.weights for w in cb.beams])
     out = np.empty(len(cb))
     for r in range(0, len(cb), HORNER_ROWS):
         z = np.exp(-1j * np.pi * grid[r:r + HORNER_ROWS])
-        w = weights[r:r + HORNER_ROWS]
+        w = cb.weights[r:r + HORNER_ROWS]
         acc = np.repeat(w[:, -1:], ZONE_GRID, axis=1)
         for k in range(cfg.N - 2, -1, -1):
             acc *= z
@@ -466,30 +477,28 @@ def evaluate(cfg: SystemConfig, cb: Codebook, mode: str = "grid",
              seed: int = 0) -> EvaluationReport:
     """Worst-case sweep of a codebook under the given system parameters.
 
-    grid mode: n_angle sine-uniform points plus every zone boundary and
-    both endpoints.  monte_carlo mode: n_angle seeded uniform-in-sine
+    grid mode: n_angle sine-uniform points, both endpoints among them, plus
+    every zone boundary.  monte_carlo mode: n_angle seeded uniform-in-sine
     draws.  Gains are band minima over the n_freq frequency grid.
     """
     if mode == "grid":
         sines = np.unique(np.concatenate([
             np.linspace(-1.0, 1.0, cfg.n_angle),
             np.sin(cb.partition.boundaries),
-            [-1.0, 1.0],
         ]))
     elif mode == "monte_carlo":
         rng = np.random.default_rng(seed)
         sines = np.sort(rng.uniform(-1.0, 1.0, cfg.n_angle))
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    if any(w.n != cfg.N for w in cb.beams):
+    if cb.weights.shape[1] != cfg.N:
         raise ValueError("codebook beam length does not match cfg.N")
     scale = 1.0 + cfg.frequency_grid() / cfg.f_c
     centers = _matched_centers(cfg, cb)
     if centers is not None:
         gains, winner = _matched_codebook_sweep(cfg.N, centers, sines, scale)
     else:
-        weights = np.stack([w.weights for w in cb.beams])
-        gains, winner = _general_sweep(weights, sines, scale)
+        gains, winner = _general_sweep(cb.weights, sines, scale)
     worst = int(np.argmin(gains))
     angles = np.arcsin(sines)
     return EvaluationReport(

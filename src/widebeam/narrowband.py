@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .alm import SolverConfig
-from .array_model import SystemConfig, BeamVector, dirichlet_power, steering_composite
+from .array_model import SystemConfig, dirichlet_power, steering_composite
 from .codebook import Codebook, build_codebook, evaluate
 from .zones import divide_zones, prop3_upper_bound, sine_centers
 
@@ -36,9 +36,9 @@ class NarrowbandAnalysis:
 
 def narrowband_codebook(cfg: SystemConfig) -> Codebook:
     """Response vectors at sine-space centers (2l-1)/L - 1, uniform sine zones."""
-    beams = BeamVector.rows(steering_composite(cfg.N, sine_centers(cfg.L)) / np.sqrt(cfg.N))
+    weights = steering_composite(cfg.N, sine_centers(cfg.L)) / np.sqrt(cfg.N)
     partition = divide_zones(replace(cfg, B=0.0))
-    return Codebook.assemble(beams, partition, cfg, solver_cfg=None,
+    return Codebook.assemble(weights, partition, cfg, solver_cfg=None,
                              kind="narrowband")
 
 

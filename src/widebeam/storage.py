@@ -4,16 +4,17 @@ Floats are always written with 17 significant digits, enough to round-trip
 IEEE doubles exactly, and the reader turns the `-0` that this writes for a
 negative zero back into -0.0, so write -> read -> write is byte-identical.
 
-The writer emits schema version 2.  Every book the library builds is one
-beam shifted to each zone center, so a book whose beams check out as
-beam 0 shifted by steering(c_l - c_0) to the partition's centers c_l, to
-MODULUS_TOL, is stored as `reference_beam` (beam 0, bit for bit) and
-`centers`.  Each stored center must be the one the stored boundaries give,
-bit for bit, and the reader rebuilds all L beams from the reference beam
-and those centers in one steering product.  Any other book keeps the
-`beams` rows of version 1.  Version 2 also names the zone `intervals`
-mapping, which the reader of a version 1 file has to guess from
-`delta_omega`.  Both versions are read; only version 2 is written.
+The writer emits schema version 2 from the book's (L, N) weight block,
+`book.weights`.  Every book the library builds is one beam shifted to
+each zone center, so a book whose rows check out as row 0 shifted by
+steering(c_l - c_0) to the partition's centers c_l, to MODULUS_TOL, is
+stored as `reference_beam` (row 0, bit for bit) and `centers`.  Each
+stored center must be the one the stored boundaries give, bit for bit,
+and the reader rebuilds the whole block from the reference beam and those
+centers in one steering product.  Any other book keeps the `beams` rows
+of version 1.  Version 2 also names the zone `intervals` mapping, which
+the reader of a version 1 file has to guess from `delta_omega`.  Both
+versions are read; only version 2 is written.
 
 The writer fills each row from one `%.17g` template; the reader checks a
 row one weight at a time (a shift book has one row, `reference_beam`).
@@ -29,7 +30,7 @@ import math
 
 import numpy as np
 
-from .array_model import MODULUS_TOL, BeamVector, SystemConfig, phase_powers
+from .array_model import MODULUS_TOL, SystemConfig, phase_powers
 from .codebook import Codebook
 from .zones import MAPPINGS, ZonePartition, zone_intervals
 
@@ -66,9 +67,8 @@ def _shifted(reference: np.ndarray, centers: np.ndarray) -> np.ndarray:
 def _reference_beam(cb: Codebook) -> np.ndarray | None:
     """Beam 0 if every beam is beam 0 shifted between the partition's
     centers, to MODULUS_TOL; None otherwise."""
-    weights = np.stack([w.weights for w in cb.beams])
-    derived = _shifted(weights[0], cb.partition.centers())
-    return weights[0] if np.abs(weights - derived).max() <= MODULUS_TOL else None
+    derived = _shifted(cb.weights[0], cb.partition.centers())
+    return cb.weights[0] if np.abs(cb.weights - derived).max() <= MODULUS_TOL else None
 
 
 def codebook_json(cb: Codebook) -> str:
@@ -90,7 +90,7 @@ def codebook_json(cb: Codebook) -> str:
         lines.append('  "centers": [' + ", ".join(_f(x) for x in cb.partition.centers()) + "]")
     else:
         lines.append('  "beams": [')
-        lines.append(",\n".join([f"    [{_pairs(w.weights)}]" for w in cb.beams]))
+        lines.append(",\n".join([f"    [{_pairs(w)}]" for w in cb.weights]))
         lines.append("  ]")
     # ending the last line with the newline lets one join build the text; a
     # trailing `+ "\n"` would copy all of it once more
@@ -223,8 +223,7 @@ def parse_codebook(text: str) -> tuple[Codebook, SystemConfig]:
         _require(len(beams_doc) == l, "/beams", f"expected {l} beams for l={l}")
         weights = np.array([_weight_row(row, n, f"/beams/{i}")
                             for i, row in enumerate(beams_doc)])
-    beams = BeamVector.rows(weights)
-    cb = Codebook.assemble(beams, partition, cfg, solver_cfg=None, kind="loaded")
+    cb = Codebook.assemble(weights, partition, cfg, solver_cfg=None, kind="loaded")
     return cb, cfg
 
 

@@ -58,21 +58,17 @@ class TestBeamVector:
         with pytest.raises(ValueError):
             BeamVector(np.ones((2, 2), dtype=complex) / np.sqrt(2))
 
-    def test_rows_share_one_check(self):
-        block = steering_composite(8, np.linspace(-1, 1, 5)) / np.sqrt(8)
-        beams = BeamVector.rows(block)
-        assert len(beams) == 5
-        for beam, row in zip(beams, block):
-            assert np.array_equal(beam.weights, BeamVector(row).weights)
-            assert not beam.weights.flags.writeable
-        # the block is copied: the caller's array stays its own
-        assert block.flags.writeable
-        for bad in (1.0 + 1e-6, np.nan):
-            block[3, 2] *= bad
-            with pytest.raises(ValueError, match="constant-modulus"):
-                BeamVector.rows(block)
+    def test_array_protocol(self):
+        w = matched(8)
+        view = np.asarray(w)
+        assert np.shares_memory(view, w.weights) and not view.flags.writeable
+        copy = np.array(w, copy=True)
+        assert not np.shares_memory(copy, w.weights) and copy.flags.writeable
+        assert np.array_equal(copy, w.weights)
+        assert np.asarray(w, dtype=np.complex64).dtype == np.complex64
         with pytest.raises(ValueError):
-            BeamVector.rows(block[0])
+            np.asarray(w, dtype=np.complex64, copy=False)
+        assert np.asarray((w, matched(8, 0.5))).shape == (2, 8)
 
     @pytest.mark.parametrize("bad", [complex(np.nan, 0), complex(1, np.nan),
                                      complex(np.inf, 0)])

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import widebeam
-from widebeam import cli
+from widebeam import SolverConfig, SystemConfig, cli
 from widebeam.cli import ConfigError, _parse_range, load_config, main
 from widebeam.storage import read_codebook
 
@@ -32,6 +32,12 @@ class TestLoadConfig:
         assert (cfg.n_freq, cfg.n_angle) == (257, 1024)
         assert cfg.solver_grid_size == 32
         assert (solver.rho1, solver.n_ite, solver.eps) == (1.0, 50, 0.0)
+
+    def test_defaults_are_the_dataclass_defaults(self, write_config):
+        cfg, solver = load_config(write_config())
+        assert solver == SolverConfig()
+        ref = SystemConfig(f_c=1.0, B=0.0, N=1, L=1)
+        assert (cfg.M, cfg.n_freq, cfg.n_angle) == (ref.M, ref.n_freq, ref.n_angle)
 
     def test_overrides_apply(self, write_config):
         cfg, solver = load_config(write_config(n=8, l=16, m=48, n_ite=7))

@@ -108,7 +108,49 @@ class TestAssembly:
         part = divide_zones(cfg)
         beams = tuple(random_cm_beam(8, seed=i) for i in range(15))
         with pytest.raises(ValueError):
-            Codebook(beams=beams, partition=part, provenance={})
+            Codebook(weights=beams, partition=part, provenance={})
+        with pytest.raises(ValueError):
+            Codebook(weights=beams + beams[:2], partition=part, provenance={})
+
+    def test_weights_are_one_checked_read_only_block(self):
+        part = divide_zones(SystemConfig(f_c=140e9, B=10e9, N=8, L=5))
+        block = steering_composite(8, np.linspace(-1, 1, 5)) / np.sqrt(8)
+        book = Codebook(weights=block, partition=part, provenance={})
+        assert len(book) == 5
+        for beam, row in zip(book.beams, block, strict=True):
+            assert np.array_equal(beam.weights, BeamVector(row).weights)
+        assert not book.weights.flags.writeable
+        # the block is copied: the caller's array stays its own
+        assert block.flags.writeable
+        assert not np.shares_memory(book.weights, block)
+        for bad in (1.0 + 1e-6, np.nan):
+            block[3, 2] *= bad
+            with pytest.raises(ValueError, match="constant-modulus"):
+                Codebook(weights=block, partition=part, provenance={})
+        for flat in (block[0], np.empty((5, 0), dtype=complex)):
+            with pytest.raises(ValueError, match="shape"):
+                Codebook(weights=flat, partition=part, provenance={})
+
+    def test_ragged_beams_are_rejected(self):
+        cfg = SystemConfig(f_c=140e9, B=10e9, N=8, L=2)
+        part = divide_zones(cfg)
+        ragged = (random_cm_beam(8, seed=0), random_cm_beam(7, seed=1))
+        with pytest.raises(ValueError):
+            Codebook(weights=ragged, partition=part, provenance={})
+        with pytest.raises(ValueError):
+            Codebook.assemble(ragged, part, cfg, None, kind="wideband")
+
+    def test_assemble_needs_the_config_shape(self):
+        # an N=8 book under an N=16 config would be written with "n": 16 and
+        # 8 weights per beam, a file the reader rejects
+        cfg = SystemConfig(f_c=140e9, B=10e9, N=8, L=16)
+        book = narrowband_codebook(cfg)
+        assert np.array_equal(
+            Codebook.assemble(book.beams, book.partition, cfg, None, kind="narrowband").weights,
+            book.weights)
+        for other in (replace(cfg, N=16), replace(cfg, L=15)):
+            with pytest.raises(ValueError, match="expected"):
+                Codebook.assemble(book.beams, book.partition, other, None, kind="narrowband")
 
     def test_designed_codebook_worst_case(self, cfg16):
         report = evaluate(cfg16, build_codebook(cfg16))
@@ -128,14 +170,13 @@ class TestAssembly:
         init = prv_beam(prv_plan(16, partition.delta_omega))
         prototype, _ = solve(cfg16, SolverConfig(), partition.delta_omega, init)
         book = build_codebook(cfg16)
-        for beam, c in zip(book.beams, partition.centers(), strict=True):
-            assert beam.weights.tobytes() == shift_beam(prototype, c).weights.tobytes()
+        for w, c in zip(book.weights, partition.centers(), strict=True):
+            assert w.tobytes() == shift_beam(prototype, c).weights.tobytes()
 
     def test_deterministic_rebuild(self, cfg16):
         a = build_codebook(cfg16)
         b = build_codebook(cfg16)
-        for wa, wb in zip(a.beams, b.beams):
-            assert np.array_equal(wa.weights, wb.weights)
+        assert np.array_equal(a.weights, b.weights)
         assert a.provenance == b.provenance
 
     def test_provenance_record(self, cfg16):
@@ -151,8 +192,7 @@ class TestAssembly:
         cfg = replace(cfg16, B=0.0)
         designed = build_codebook(cfg)
         baseline = narrowband_codebook(cfg)
-        for wd, wb in zip(designed.beams, baseline.beams):
-            assert np.abs(wd.weights - wb.weights).max() < 1e-12
+        assert np.abs(designed.weights - baseline.weights).max() < 1e-12
         assert np.array_equal(designed.partition.boundaries,
                               baseline.partition.boundaries)
 
@@ -343,7 +383,7 @@ class TestSweepPaths:
         # paths but describe nearly the same beams
         book = narrowband_codebook(cfg16)
         bent = Codebook(
-            beams=tuple(BeamVector(w.weights * np.exp(1j * 1e-6)) for w in book.beams),
+            weights=book.weights * np.exp(1j * 1e-6),
             partition=book.partition,
             provenance=book.provenance,
         )
@@ -419,8 +459,8 @@ class TestMatchedSweepExactness:
     def test_narrowband_weights_are_the_response_vectors(self, cfg16):
         book = narrowband_codebook(cfg16)
         centers = (2.0 * np.arange(1, 33) - 1.0) / 32 - 1.0
-        for w, c in zip(book.beams, centers):
-            assert np.array_equal(w.weights, steering_composite(16, c) / np.sqrt(16))
+        for w, c in zip(book.weights, centers):
+            assert np.array_equal(w, steering_composite(16, c) / np.sqrt(16))
 
 
 class TestGeneralSweepExactness:
@@ -450,7 +490,7 @@ class TestGeneralSweepExactness:
 
     def test_designed_book_winners(self, cfg16):
         book = build_codebook(cfg16)
-        weights = np.stack([w.weights for w in book.beams])
+        weights = book.weights
         sines = np.linspace(-1, 1, 400)
         scale = 1.0 + cfg16.frequency_grid() / cfg16.f_c
         G = all_beams_band_minima(weights, sines, scale)
@@ -466,11 +506,11 @@ class TestPerZoneWorst:
     @staticmethod
     def per_beam_loop(cfg, book, centers):
         out = []
-        for l, w in enumerate(book.beams):
+        for l, w in enumerate(book.weights):
             lo, hi = virtual_interval(cfg, *book.partition.boundaries[l:l + 2])
             grid = np.linspace(lo, hi, ZONE_GRID)
             if centers is None:
-                out.append(composite_gain(w.weights, grid).min())
+                out.append(composite_gain(w, grid).min())
             else:
                 out.append((dirichlet_power(grid - centers[l], cfg.N) / cfg.N).min())
         return np.array(out)
@@ -484,7 +524,7 @@ class TestPerZoneWorst:
     def test_random_book(self, n, l):
         cfg = SystemConfig(f_c=140e9, B=10e9, N=n, L=l)
         part = divide_zones(cfg)
-        book = Codebook(beams=tuple(random_cm_beam(n, seed=i) for i in range(l)),
+        book = Codebook(weights=tuple(random_cm_beam(n, seed=i) for i in range(l)),
                         partition=part, provenance={})
         assert _per_zone_worst(cfg, book, None) == pytest.approx(
             self.per_beam_loop(cfg, book, None), rel=1e-10)

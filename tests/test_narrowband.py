@@ -19,16 +19,16 @@ def cfg(n=16, l=32, b=10e9):
 class TestCodebook:
     def test_two_beam_centers(self):
         book = narrowband_codebook(cfg(n=2, l=2))
-        for beam, s in zip(book.beams, (-0.5, 0.5)):
+        for w, s in zip(book.weights, (-0.5, 0.5)):
             expect = steering_composite(2, s) / np.sqrt(2)
-            assert np.abs(beam.weights - expect).max() < 1e-15
+            assert np.abs(w - expect).max() < 1e-15
 
     def test_beams_are_matched_response_vectors(self):
         book = narrowband_codebook(cfg())
-        for l, beam in enumerate(book.beams, start=1):
+        for l, w in enumerate(book.weights, start=1):
             s = (2 * l - 1) / 32 - 1
             expect = steering_composite(16, s) / 4.0
-            assert np.abs(beam.weights - expect).max() < 1e-12
+            assert np.abs(w - expect).max() < 1e-12
 
     def test_partition_ignores_bandwidth(self):
         # beam placement is uniform in sine regardless of B; only the
@@ -52,7 +52,7 @@ class TestZeroBandWorstCase:
     def test_agrees_with_dense_sweep(self):
         c = cfg(n=16, l=64, b=0.0)
         book = narrowband_codebook(c)
-        W = np.stack([b.weights for b in book.beams])
+        W = book.weights
         sines = np.linspace(-1, 1, 8193)
         gains = np.abs(W @ np.exp(-1j * np.pi * np.outer(np.arange(16), sines))) ** 2
         sweep_worst = gains.max(axis=0).min()

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from widebeam import (Codebook, SystemConfig, build_codebook, evaluate,
                       narrowband_codebook, shift_beam)
 from widebeam.alm import SolverConfig, solve
-from widebeam.array_model import MODULUS_TOL, BeamVector
+from widebeam.array_model import MODULUS_TOL
 from widebeam.cli import main
 from widebeam.prv import prv_beam, prv_plan
 from widebeam.storage import (
@@ -70,8 +70,8 @@ def oracle_codebook_json(cb):
         '  "beams": [',
     ]
     beam_rows = []
-    for w in cb.beams:
-        pairs = ", ".join(f"[{f(v.real)}, {f(v.imag)}]" for v in w.weights)
+    for w in cb.weights:
+        pairs = ", ".join(f"[{f(v.real)}, {f(v.imag)}]" for v in w)
         beam_rows.append(f"    [{pairs}]")
     lines.append(",\n".join(beam_rows))
     lines.append("  ]")
@@ -119,10 +119,6 @@ def oracle_beams(doc):
     return np.array(rows)
 
 
-def loaded_weights(cb):
-    return np.stack([w.weights for w in cb.beams])
-
-
 def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
@@ -139,8 +135,7 @@ class TestRoundTrip:
             assert np.array_equal(loaded.partition.boundaries,
                                   cb.partition.boundaries)
             assert loaded.partition.delta_omega == cb.partition.delta_omega
-            for wa, wb in zip(loaded.beams, cb.beams):
-                assert np.array_equal(wa.weights, wb.weights)
+            assert np.array_equal(loaded.weights, cb.weights)
 
     def test_shifted_beams_come_back_within_tolerance(self, cfg16, small_designed):
         for cb in (narrowband_codebook(cfg16), small_designed):
@@ -149,8 +144,8 @@ class TestRoundTrip:
                                   cb.partition.boundaries)
             assert same_bits(loaded.partition.intervals, cb.partition.intervals)
             assert loaded.partition.mapping == cb.partition.mapping
-            assert same_bits(loaded.beams[0].weights, cb.beams[0].weights)
-            assert np.abs(loaded_weights(loaded) - loaded_weights(cb)).max() <= 1e-12
+            assert same_bits(loaded.weights[0], cb.weights[0])
+            assert np.abs(loaded.weights - cb.weights).max() <= 1e-12
 
     def test_file_round_trip(self, tmp_path, small_designed):
         path = tmp_path / "cb.json"
@@ -196,14 +191,13 @@ class TestRoundTrip:
         # `%.17g` writes -0.0 as `-0`, which plain json.loads reads as the
         # integer 0; both payloads must hand back the negative zero
         base = narrowband_codebook(SystemConfig(f_c=140e9, B=0.0, N=1, L=2))
-        first = BeamVector(np.array([complex(1.0, -0.0)]))
-        book = replace(base, beams=(first, BeamVector(np.array([second]))))
+        book = replace(base, weights=[[complex(1.0, -0.0)], [second]])
         text = codebook_json(book)
         assert payload in text
         loaded, _ = parse_codebook(text)
-        assert same_bits(loaded.beams[0].weights, first.weights)
+        assert same_bits(loaded.weights[0], np.array([complex(1.0, -0.0)]))
         if "beams" in v2_doc_of(book):
-            assert same_bits(loaded_weights(loaded), loaded_weights(book))
+            assert same_bits(loaded.weights, book.weights)
         assert codebook_json(loaded) == text
 
     def test_negative_zero_is_not_an_integer(self, small_designed):
@@ -248,9 +242,7 @@ def drawn_books(draw):
     l = draw(st.integers(n, n + 3))
     base = zero_band_book(n, l)
     pairs = st.lists(unit_pairs(n), min_size=n, max_size=n)
-    beams = [BeamVector(np.array([complex(*p) for p in draw(pairs)]))
-             for _ in range(l)]
-    return replace(base, beams=tuple(beams))
+    return replace(base, weights=[[complex(*p) for p in draw(pairs)] for _ in range(l)])
 
 
 ROWS = '\n  "beams": [\n'
@@ -261,7 +253,7 @@ class TestAgainstPerElementOracles:
     @given(book=drawn_books())
     def test_version1_rows_read_back_bit_for_bit(self, book):
         loaded, _ = parse_codebook(oracle_codebook_json(book))
-        assert same_bits(loaded_weights(loaded), loaded_weights(book))
+        assert same_bits(loaded.weights, book.weights)
 
     @settings(deadline=None, max_examples=150)
     @given(book=drawn_books())
@@ -271,11 +263,11 @@ class TestAgainstPerElementOracles:
         assert codebook_json(loaded) == text
         if ROWS in text:
             assert text.split(ROWS)[1] == oracle_codebook_json(book).split(ROWS)[1]
-            assert same_bits(loaded_weights(loaded), loaded_weights(book))
+            assert same_bits(loaded.weights, book.weights)
         else:
             # an N=1 book of beams equal to MODULUS_TOL is one beam shifted
             # to every center
-            assert np.abs(loaded_weights(loaded) - loaded_weights(book)).max() <= MODULUS_TOL
+            assert np.abs(loaded.weights - book.weights).max() <= MODULUS_TOL
 
     def test_writer_on_designed_and_narrowband_books(self, cfg16, small_designed):
         # a version 1 file of a built book rewrites as that book's version 2 text
@@ -288,7 +280,7 @@ class TestAgainstPerElementOracles:
     def test_first_fault_matches_the_per_element_reader(self, small_designed, data):
         base = data.draw(st.sampled_from([small_designed, zero_band_book(1, 2),
                                           zero_band_book(3, 5)]))
-        n, l = len(base.beams[0].weights), len(base)
+        l, n = base.weights.shape
         fault = st.tuples(st.integers(0, l - 1), st.integers(0, n - 1),
                           st.integers(0, 1), st.sampled_from(sorted(CORRUPTIONS)))
         pointer = assert_same_first_fault(base, data.draw(st.lists(fault, min_size=1, max_size=2)))
@@ -630,7 +622,7 @@ class TestVersion2ParseErrors:
         assert str(err.value) == "/centers/7: must be the center 0 of zone 8"
 
     def test_rows_payload_faults_keep_their_pointers(self, small_designed):
-        doc = v2_doc_of(replace(small_designed, beams=tuple(
+        doc = v2_doc_of(replace(small_designed, weights=tuple(
             random_cm_beam(8, seed=i) for i in range(16))))
         assert "reference_beam" not in doc
         _infinite_real(doc)
@@ -665,16 +657,16 @@ class TestShiftPayload:
         loaded, _ = parse_codebook(text)
         assert codebook_json(loaded) == text
         assert same_bits(loaded.partition.intervals, partition.intervals)
-        assert np.abs(loaded_weights(loaded) - loaded_weights(book)).max() <= 1e-12
+        assert np.abs(loaded.weights - book.weights).max() <= 1e-12
 
     def test_random_beams_fall_back_to_rows(self, small_designed):
         book = replace(small_designed,
-                       beams=tuple(random_cm_beam(8, seed=i) for i in range(16)))
+                       weights=tuple(random_cm_beam(8, seed=i) for i in range(16)))
         text = codebook_json(book)
         doc = json.loads(text)
         assert "reference_beam" not in doc and len(doc["beams"]) == 16
         loaded, _ = parse_codebook(text)
-        assert same_bits(loaded_weights(loaded), loaded_weights(book))
+        assert same_bits(loaded.weights, book.weights)
         assert codebook_json(loaded) == text
 
     def test_assembled_shifts_write_the_built_book(self):
@@ -695,6 +687,37 @@ class TestShiftPayload:
         assert any(r.getMessage().startswith("matched path") for r in caplog.records)
 
 
+class TestAssembledBooks:
+    @settings(deadline=None, max_examples=80)
+    @given(n=st.integers(1, 12), l=st.integers(1, 20), rows=st.integers(-1, 1),
+           cols=st.integers(-1, 1), shifted=st.booleans(),
+           mapping=st.sampled_from(["banded", "sine"]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_every_accepted_book_round_trips(self, n, l, rows, cols, shifted, mapping, seed):
+        # the block may miss the config's shape by a row or a column; what
+        # assemble accepts, the reader takes back
+        partition = partition_of(l, mapping)
+        cfg = SystemConfig(f_c=140e9, B=10e9, N=n, L=l)
+        shape = (max(l + rows, 1), max(n + cols, 1))
+        if shifted:
+            proto = random_cm_beam(shape[1], seed=seed)
+            weights = [shift_beam(proto, c)
+                       for c in np.append(partition.centers(), 0.0)[:shape[0]]]
+        else:
+            rng = np.random.default_rng(seed)
+            weights = np.exp(1j * rng.uniform(0, 2 * np.pi, shape)) / np.sqrt(shape[1])
+        try:
+            book = Codebook.assemble(weights, partition, cfg, None, kind="wideband")
+        except ValueError:
+            assert shape != (l, n)
+            return
+        assert shape == (l, n)
+        text = codebook_json(book)
+        loaded, loaded_cfg = parse_codebook(text)
+        assert (loaded_cfg.N, loaded_cfg.L) == (n, l)
+        assert codebook_json(loaded) == text
+        assert np.abs(loaded.weights - book.weights).max() <= 1e-12
+
+
 class TestVersion1Fixtures:
     """Files written by the version 1 writer (`widebeam design` and
     `widebeam baseline` at N=8, L=16, B=10 GHz) and their `eval --csv`."""
@@ -709,7 +732,7 @@ class TestVersion1Fixtures:
         assert (cfg.f_c, cfg.B, cfg.N, cfg.L) == (140e9, 10e9, 8, 16)
         assert loaded.partition.mapping == book.partition.mapping
         if name == "baseline_v1":
-            assert same_bits(loaded_weights(loaded), loaded_weights(book))
+            assert same_bits(loaded.weights, book.weights)
             assert same_bits(loaded.partition.boundaries, book.partition.boundaries)
             assert same_bits(loaded.partition.intervals, book.partition.intervals)
             assert codebook_json(loaded) == codebook_json(book)
@@ -721,7 +744,7 @@ class TestVersion1Fixtures:
         assert np.abs(loaded.partition.boundaries - book.partition.boundaries).max() <= 1e-11
         assert loaded.partition.delta_omega == pytest.approx(book.partition.delta_omega,
                                                              rel=2e-12, abs=0)
-        assert np.abs(loaded_weights(loaded) - loaded_weights(book)).max() <= 3e-11
+        assert np.abs(loaded.weights - book.weights).max() <= 3e-11
         assert evaluate(cfg, loaded).worst_case == pytest.approx(
             evaluate(cfg, book).worst_case, rel=1.5e-12, abs=0)
 
