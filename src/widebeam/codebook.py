@@ -12,7 +12,9 @@ the full band.  For codebooks made of plain response vectors the sweep
 collapses to Dirichlet-kernel lookups in three steps.  Each angle's
 candidate beams come as runs of offsets read off in closed form, where the
 kernel's sidelobe envelope, less the main lobe's flank, can reach the level
-max(home, GUARD_FLOOR), home being the home beam's minimum; each candidate
+max(home, GUARD_FLOOR), home being the home beam's minimum; a window at
+least 2/n wide holds a null within 2/n of its far end, so its reach is
+measured from that null, not from its near end.  Each candidate
 is bounded by the kernel at two of its frequency samples, those whose bound
 reaches the level get the full sampled minimum, and one pick per angle
 takes the best.  Gains at or above GUARD_FLOOR are exact, and ties go to
@@ -76,11 +78,17 @@ class Codebook:
     def assemble(cls, beams, partition: ZonePartition, cfg: SystemConfig,
                  solver_cfg, kind: str) -> "Codebook":
         """The book of an (L, N) block or a sequence of BeamVectors; the
-        shape must be cfg's (L, N), as the file reader requires."""
+        shape must be cfg's (L, N), and the partition's intervals those
+        that cfg gives its boundaries, bit for bit, as the file reader
+        rebuilds them."""
         weights = np.asarray(beams, dtype=complex)
         if weights.shape != (cfg.L, cfg.N):
             raise ValueError(f"weights of shape {weights.shape} for "
                              f"L={cfg.L}, N={cfg.N}: expected ({cfg.L}, {cfg.N})")
+        if not np.array_equal(partition.intervals,
+                              zone_intervals(cfg, partition.boundaries, partition.mapping)):
+            raise ValueError(f"partition intervals are not those of its boundaries under "
+                             f"f_c={cfg.f_c:g}, B={cfg.B:g} ({partition.mapping!r} mapping)")
         prov = {
             "kind": kind,
             "config": {"f_c": cfg.f_c, "B": cfg.B, "N": cfg.N, "L": cfg.L,
@@ -289,12 +297,21 @@ def _matched_codebook_sweep(n: int, centers: np.ndarray, sines: np.ndarray,
 
        * sidelobe reach (_envelope_reach): the capped sidelobe envelope is
          below the level once d > (2/pi) asin(1/sqrt(n*level)).  Where the
-         angle's windows are at least 2/n wide, a window at d > 0 holds a
-         cut that is no peak, a null, and the same holds with the level
-         divided by the angle's residue factor (_null_residue).  This
-         applies where no window of the ring comes within the reach of the
-         peaks at +-2, so that d is the distance to the nearest peak;
-         elsewhere the whole ring is kept.
+         angle's windows are at least 2/n wide, the reach is taken at the
+         level divided by the angle's residue factor (_null_residue) and
+         from each window's far null.  Such a window holds a cut within
+         2/n of its far end, and the window sample nearest that cut lies
+         within h/2 of it, h the sample step; so that sample sits at least
+         d_far - 2/n - h/2 from the peak, and at least d.  Past the reach
+         the cut is no peak but a null, and the sample, hence the window's
+         minimum, is at most the capped envelope there times the residue
+         factor, below the level.  So for a window right of the peak the
+         keep test k*spacing <= reach - e_lo becomes
+         k*spacing <= reach - max(e_lo, e_hi - 2/n - h/2 - 1e-9), mirrored
+         on the left; the 1e-9 covers the cut slack.  Narrower windows keep
+         the plain test at the level.  This applies where no window of the
+         ring comes within the reach of the peaks at +-2, so that d is the
+         distance to the nearest peak; elsewhere the whole ring is kept.
        * main-lobe reach (_lobe_reach): on [0, 2/n] the pattern falls
          monotonically from n at the peak to 0 at the first null.  Take r
          with dirichlet_power(r)/n <= level.  A window whose far end lies at
@@ -332,8 +349,12 @@ def _matched_codebook_sweep(n: int, centers: np.ndarray, sines: np.ndarray,
     h = (win_hi - win_lo) / (F - 1)
     e_lo = centers[j0] - win_hi             # the home window; offset k adds k*spacing
     e_hi = centers[j0] - win_lo
-    # the residue factor, where every window at d > 0 holds a null
-    null_factor = np.where((win_hi - win_lo >= 2.0 / n) & (n > 1), _null_residue(n, h), 1.0)
+    # where every window holds a null cut within 2/n of its far end: the
+    # residue factor, and how far short of the far end that null's nearest
+    # sample may lie
+    wide = (win_hi - win_lo >= 2.0 / n) & (n > 1)
+    null_factor = np.where(wide, _null_residue(n, h), 1.0)
+    far_gap = np.where(wide, 2.0 / n + h / 2.0 + 1e-9, np.inf)
 
     def krange(lo, hi):
         """The integers k with lo <= k*spacing <= hi, clipped to the ring."""
@@ -345,25 +366,27 @@ def _matched_codebook_sweep(n: int, centers: np.ndarray, sines: np.ndarray,
     level = top - PROBE_TOL * np.maximum(top, 1.0)
     reach = _envelope_reach(n, level / null_factor)
     flank = _lobe_reach(n, level)
-    # step 1, runs of k: within the sidelobe reach, where the peaks at +-2
-    # are out of it, less the windows inside the main lobe whose far end
-    # lies at flank or beyond; then less k = 0
+    # step 1, runs of k: the windows whose near end and far null both lie
+    # within the sidelobe reach, where the peaks at +-2 are out of it, less
+    # the windows inside the main lobe whose far end lies at flank or
+    # beyond; then less k = 0
     near = ((e_hi + k_hi * spacing < 2.0 - reach - 1e-9)
             & (e_lo + k_lo * spacing > reach - 2.0 + 1e-9))
-    in_lo, in_hi = krange(np.where(near, -reach - e_hi, -np.inf) - eps,
-                          np.where(near, reach - e_lo, np.inf) + eps)
+    in_lo, in_hi = krange(np.where(near, -reach - np.minimum(e_hi, e_lo + far_gap), -np.inf) - eps,
+                          np.where(near, reach - np.maximum(e_lo, e_hi - far_gap), np.inf) + eps)
     lobe_lo, lobe_hi = krange(-2.0 / n - e_lo + eps, 2.0 / n - e_hi - eps)
     lobe_hi = np.maximum(lobe_hi, lobe_lo - 1)
     short_lo, short_hi = krange(-flank - e_lo - eps, flank - e_hi + eps)
     starts = np.stack([in_lo, np.maximum(np.maximum(in_lo, short_lo), lobe_lo),
-                       np.maximum(in_lo, lobe_hi + 1)], axis=1)
+                       np.maximum(in_lo, lobe_hi + 1)])
     ends = np.stack([np.minimum(in_hi, lobe_lo - 1),
-                     np.minimum(np.minimum(in_hi, short_hi), lobe_hi), in_hi], axis=1)
-    starts = np.maximum(starts[:, :, None], [k_lo, 1]).reshape(A, -1)
-    ends = np.minimum(ends[:, :, None], [-1, k_hi]).reshape(A, -1)
-    count = np.maximum(ends - starts + 1, 0).ravel()
-    r = np.repeat(np.arange(A).repeat(starts.shape[1]), count)
-    k = np.arange(r.size) + np.repeat(starts.ravel() - (np.cumsum(count) - count), count)
+                     np.minimum(np.minimum(in_hi, short_hi), lobe_hi), in_hi])
+    # each run's part left of k = 0, then its part right of it
+    starts = np.concatenate([np.maximum(starts, k_lo), np.maximum(starts, 1)]).ravel()
+    ends = np.concatenate([np.minimum(ends, -1), np.minimum(ends, k_hi)]).ravel()
+    count = np.maximum(ends - starts + 1, 0)
+    r = np.repeat(np.tile(np.arange(A), 6), count)
+    k = np.arange(r.size) + np.repeat(starts - (np.cumsum(count) - count), count)
     c = centers[(j0[r] + k) % L]
     lo = c - win_hi[r]
     hi = c - win_lo[r]

@@ -152,6 +152,23 @@ class TestAssembly:
             with pytest.raises(ValueError, match="expected"):
                 Codebook.assemble(book.beams, book.partition, other, None, kind="narrowband")
 
+    def test_assemble_needs_the_config_intervals(self):
+        # a banded partition divided at 10 GHz under an 8 GHz config would be
+        # written with B = 8 GHz and the 10 GHz centres, which the reader
+        # rejects: it rebuilds the intervals from the stored band
+        cfg = SystemConfig(f_c=140e9, B=8e9, N=8, L=16)
+        part = divide_zones(replace(cfg, B=10e9))
+        weights = steering_composite(8, part.centers()) / np.sqrt(8)
+        with pytest.raises(ValueError, match="partition intervals"):
+            Codebook.assemble(weights, part, cfg, None, kind="wideband")
+        book = Codebook.assemble(weights, part, replace(cfg, B=10e9), None, kind="wideband")
+        assert np.array_equal(book.weights, weights)
+        # a "sine" partition's intervals do not depend on the band
+        narrow = narrowband_codebook(cfg)
+        for b in (0.0, 10e9):
+            Codebook.assemble(narrow.weights, narrow.partition, replace(cfg, B=b), None,
+                              kind="narrowband")
+
     def test_designed_codebook_worst_case(self, cfg16):
         report = evaluate(cfg16, build_codebook(cfg16))
         assert report.worst_case == pytest.approx(8.6576449182099, abs=1e-8)
@@ -325,6 +342,8 @@ class TestMatchedBounds:
     # a window wider than 2/n inside the plain sidelobe reach, whose samples
     # reach above the level, but beyond the reach over the residue factor
     @example(n=16, f=33, anchor="free", k=3, frac=0.5, width=0.3, nudge=0.0, t=0.01)
+    # a window over the peak, reaching far past the reach: its far null drops it
+    @example(n=16, f=33, anchor="peak", k=0, frac=0.0, width=0.9, nudge=0.0, t=0.05)
     def test_reaches_drop_only_windows_below_the_level(self, n, f, anchor, k, frac, width,
                                                        nudge, t):
         lo, hi = window_near(n, anchor, k, frac, width, nudge)
@@ -344,6 +363,14 @@ class TestMatchedBounds:
         # a window at least 2/n wide and at d > 0 holds a null, so the reach
         # at the level over the residue factor drops it as well
         if n > 1 and width >= 2.0 / n and d > _envelope_reach(n, level / _null_residue(n, h))[0]:
+            assert dense[:-1].min() <= slack(level[0])
+            assert float(_windowed_min(n, lo, hi, f)[0]) / n <= slack(level[0])
+        # such a window holds a null within 2/n of its far end, whose nearest
+        # sample lies within h/2 of it: the same reach measured from there
+        # drops it, if no other peak is nearer
+        if (n > 1 and width >= 2.0 / n and peak - 1.0 < lo[0] and hi[0] < peak + 1.0
+                and far - 2.0 / n - h[0] / 2.0 - 1e-9
+                > _envelope_reach(n, level / _null_residue(n, h))[0]):
             assert dense[:-1].min() <= slack(level[0])
             assert float(_windowed_min(n, lo, hi, f)[0]) / n <= slack(level[0])
         if _lobe_reach(n, level)[0] <= far <= 2.0 / n:
@@ -420,6 +447,11 @@ class TestMatchedSweepExactness:
     # chunks of A windows
     @example(n=140, l=200, f=257, b2=9e9 / 140e9, n_sines=3, n_edges=0,
              n_near=0, seed=1, extra=[0.97])
+    # windows wider than 2/n at N=140, L=200, B=18 GHz: each of the two
+    # mirrored far-null reaches, taken from the far end instead, drops the
+    # winner at one angle of each sign
+    @example(n=140, l=200, f=257, b2=9e9 / 140e9, n_sines=0, n_edges=0,
+             n_near=0, seed=1, extra=[-0.53625, -0.45125, 0.45125, 0.53625])
     def test_bitwise_equal_to_the_unpruned_sweep(self, n, l, f, b2, n_sines,
                                                  n_edges, n_near, seed, extra):
         rng = np.random.default_rng(seed)
@@ -597,6 +629,14 @@ class TestEvaluateLog:
         assert np.array_equal(report.gains[high], ref_gains[high])
         assert np.array_equal(report.best_indices[high] - 1, ref_winner[high])
         assert np.all(report.gains[~high] <= ref_gains[~high])
+
+    def test_far_null_halves_the_two_sample_bounds(self, caplog):
+        # the Prop. 1 zero regime: most windows are wider than 2/n, and the
+        # sidelobe reach taken from each window's far null, not its near
+        # end, leaves at most half of the 21 765 pairs the near end left
+        cfg = SystemConfig(f_c=140e9, B=18e9, N=140, L=200)
+        got = self.matched_counts(caplog, cfg)
+        assert got["bounded"] <= 21765 // 2
 
     def test_main_lobe_reach_drops_the_flank_before_any_bound(self, caplog):
         # at N=10 most candidates lie on the main lobe's flank below the
