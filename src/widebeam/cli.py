@@ -18,10 +18,10 @@ import numpy as np
 
 from . import narrowband, storage
 from .alm import SolverConfig
-from .array_model import SystemConfig, composite_gain, steering_composite
-from .codebook import build_codebook, evaluate
+from .array_model import SystemConfig, composite_gain
+from .codebook import build_codebook, evaluate, shift_rows
 from .narrowband import sweep
-from .zones import PartitionLimitError, divide_zones, prop3_upper_bound
+from .zones import PartitionLimitError, divide_zones, prop3_upper_bound, sine_boundaries
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -179,7 +179,7 @@ def _check_shift(cfg: SystemConfig) -> bool:
     for _ in range(100):
         w = np.exp(1j * rng.uniform(0, 2 * np.pi, cfg.N)) / np.sqrt(cfg.N)
         t = rng.uniform(-1.0, 1.0)
-        shifted = w * steering_composite(cfg.N, t)
+        shifted = shift_rows(w, np.array([0.0, t]))[1]
         err = np.abs(composite_gain(shifted, grid)
                      - composite_gain(w, grid - t)).max()
         if err > 1e-10:
@@ -189,9 +189,7 @@ def _check_shift(cfg: SystemConfig) -> bool:
 
 def _check_zero_band_zones(cfg: SystemConfig) -> bool:
     part = divide_zones(replace(cfg, B=0.0))
-    exact = np.arcsin(-1.0 + 2.0 * np.arange(cfg.L + 1) / cfg.L)
-    exact[0], exact[-1] = -np.pi / 2, np.pi / 2
-    return bool(np.abs(part.boundaries - exact).max() <= 1e-12)
+    return bool(np.abs(np.sin(part.boundaries) - sine_boundaries(cfg.L)).max() <= 1e-12)
 
 
 def cmd_validate(args) -> int:

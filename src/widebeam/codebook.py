@@ -22,6 +22,10 @@ the lowest offset in the centred ring around the home beam; below
 GUARD_FLOOR a gain is a minimum some beam attains, at most the exact one.
 Any other codebook goes through the general sweep, which bounds every beam
 by its minimum over three probe frequencies and is exact.
+
+A designed book's rows come from shift_rows, which takes the first zone's
+beam to every other center; the file reader rebuilds them by the same
+function, so a designed book reads back bit for bit.
 """
 
 from __future__ import annotations
@@ -36,7 +40,8 @@ from . import alm
 from .array_model import (BeamVector, SystemConfig, check_modulus,
                           dirichlet_power, phase_powers, steering_composite)
 from .prv import prv_beam, prv_plan
-from .zones import ZonePartition, divide_zones, sine_centers, zone_intervals
+from .zones import (ZonePartition, divide_zones, sine_boundaries, sine_centers,
+                    zone_intervals)
 
 ZONE_GRID = 1025        # per-zone virtual grid for local worst cases
 GUARD_FLOOR = 5e-4      # matched-sweep gains below this may miss a better beam
@@ -117,8 +122,20 @@ def shift_beam(w: BeamVector, t: float) -> BeamVector:
 
     The element-wise product with the steering phases at t maps the pattern
     g(u) to g(u - t) exactly and preserves the modulus of every weight.
+    One exp per entry; a book's rows come from shift_rows.
     """
     return BeamVector(w.weights * steering_composite(w.n, float(t)))
+
+
+def shift_rows(reference: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Rows reference * steering(c_l - c_0), C-ordered: the beam at
+    centers[0] shifted to every center, the rule by which a shift book is
+    built, written and read back.  Row 0 is reference bit for bit.  The
+    steering table is built by doubling (phase_powers)."""
+    rows = np.multiply(phase_powers(reference.size, centers[0] - centers).T,
+                       reference, order="C")
+    rows[0] = reference  # a product with 1 + 0j can flip the sign of a zero
+    return rows
 
 
 def _prototype(cfg: SystemConfig, solver_cfg: alm.SolverConfig | None,
@@ -131,11 +148,17 @@ def _prototype(cfg: SystemConfig, solver_cfg: alm.SolverConfig | None,
 
 
 def build_codebook(cfg: SystemConfig, solver_cfg: alm.SolverConfig | None = None) -> Codebook:
-    """Full pipeline: partition, wide-beam prototype, zone shifts."""
+    """Full pipeline: partition, wide-beam prototype, zone shifts.
+
+    Row 0 is shift_beam(prototype, centers[0]); shift_rows takes it to
+    every other center, as the file reader does, so the book read back
+    from its file is this book bit for bit.
+    """
     solver_cfg = solver_cfg or alm.SolverConfig()
     partition = divide_zones(cfg)
     prototype = _prototype(cfg, solver_cfg, partition.delta_omega)
-    weights = prototype.weights * steering_composite(cfg.N, partition.centers())
+    centers = partition.centers()
+    weights = shift_rows(shift_beam(prototype, centers[0]).weights, centers)
     return Codebook.assemble(weights, partition, cfg, solver_cfg, kind="wideband")
 
 
@@ -164,8 +187,7 @@ def _matched_centers(cfg: SystemConfig, cb: Codebook) -> np.ndarray | None:
     whose rounding lies far below the tolerance.
     """
     L = len(cb)
-    expected_bounds = -1.0 + 2.0 * np.arange(L + 1) / L
-    if np.abs(np.sin(cb.partition.boundaries) - expected_bounds).max() > 1e-9:
+    if np.abs(np.sin(cb.partition.boundaries) - sine_boundaries(L)).max() > 1e-9:
         return None
     centers = sine_centers(L)
     if np.abs(cb.weights - phase_powers(cfg.N, -centers).T / np.sqrt(cfg.N)).max() > 1e-9:

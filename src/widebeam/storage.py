@@ -11,10 +11,11 @@ steering(c_l - c_0) to the partition's centers c_l, to MODULUS_TOL, is
 stored as `reference_beam` (row 0, bit for bit) and `centers`.  Each
 stored center must be the one the stored boundaries give, bit for bit,
 and the reader rebuilds the whole block from the reference beam and those
-centers in one steering product.  Any other book keeps the `beams` rows
-of version 1.  Version 2 also names the zone `intervals` mapping, which
-the reader of a version 1 file has to guess from `delta_omega`.  Both
-versions are read; only version 2 is written.
+centers with codebook.shift_rows, the function build_codebook builds its
+rows with, so a designed book comes back bit for bit.  Any other book
+keeps the `beams` rows of version 1.  Version 2 also names the zone
+`intervals` mapping, which the reader of a version 1 file has to guess
+from `delta_omega`.  Both versions are read; only version 2 is written.
 
 The writer fills each row from one `%.17g` template; the reader checks a
 row one weight at a time (a shift book has one row, `reference_beam`).
@@ -30,8 +31,8 @@ import math
 
 import numpy as np
 
-from .array_model import MODULUS_TOL, SystemConfig, phase_powers
-from .codebook import Codebook
+from .array_model import MODULUS_TOL, SystemConfig
+from .codebook import Codebook, shift_rows
 from .zones import MAPPINGS, ZonePartition, zone_intervals
 
 SCHEMA_VERSION = 2
@@ -55,19 +56,10 @@ def _pairs(weights: np.ndarray) -> str:
         weights.view(np.float64).tolist())
 
 
-def _shifted(reference: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Rows reference * steering(c_l - c_0), C-ordered; row 0 is reference
-    bit for bit.  The steering table is built by doubling (phase_powers)."""
-    rows = np.multiply(phase_powers(reference.size, centers[0] - centers).T,
-                       reference, order="C")
-    rows[0] = reference  # a product with 1 + 0j can flip the sign of a zero
-    return rows
-
-
 def _reference_beam(cb: Codebook) -> np.ndarray | None:
     """Beam 0 if every beam is beam 0 shifted between the partition's
     centers, to MODULUS_TOL; None otherwise."""
-    derived = _shifted(cb.weights[0], cb.partition.centers())
+    derived = shift_rows(cb.weights[0], cb.partition.centers())
     return cb.weights[0] if np.abs(cb.weights - derived).max() <= MODULUS_TOL else None
 
 
@@ -158,7 +150,7 @@ def _shifted_beams(doc: dict, n: int, partition: ZonePartition) -> np.ndarray:
         x = _number(v, f"/centers/{i}")
         _require(x == c and math.copysign(1.0, x) == math.copysign(1.0, c),
                  f"/centers/{i}", f"must be the center {_f(c)} of zone {i + 1}")
-    return _shifted(reference, centers)
+    return shift_rows(reference, centers)
 
 
 def parse_codebook(text: str) -> tuple[Codebook, SystemConfig]:

@@ -54,6 +54,12 @@ class ZonePartition:
         return self.intervals.mean(axis=1)
 
 
+def sine_boundaries(L: int) -> np.ndarray:
+    """Boundary sines 2l/L - 1, l = 0..L, of the L uniform sine zones: the
+    B = 0 partition, and what the matched sweep recognizes."""
+    return -1.0 + 2.0 * np.arange(L + 1) / L
+
+
 def sine_centers(L: int) -> np.ndarray:
     """Midpoints (2l-1)/L - 1, l = 1..L, of the L uniform sine zones: where
     the narrowband codebook points its beams."""
@@ -124,7 +130,7 @@ def divide_zones(cfg: SystemConfig) -> ZonePartition:
     L, K = cfg.L, cfg.L // 2
     if cfg.B == 0:
         delta = 2.0 / L
-        boundaries = np.arcsin(-1.0 + 2.0 * np.arange(L + 1) / L)
+        boundaries = np.arcsin(sine_boundaries(L))
         boundaries[0], boundaries[-1] = -np.pi / 2, np.pi / 2
         return ZonePartition(boundaries, delta, zone_intervals(cfg, boundaries, "sine"),
                              "sine")

@@ -18,11 +18,15 @@ from widebeam.storage import read_codebook
 from test_storage import oracle_codebook_json
 
 
-def stdout_value(out: str, key: str) -> float:
+def stdout_line(out: str, key: str) -> str:
     for line in out.splitlines():
         if line.startswith(f"{key} = "):
-            return float(line.split(" = ")[1])
+            return line
     raise AssertionError(f"{key} not in output:\n{out}")
+
+
+def stdout_value(out: str, key: str) -> float:
+    return float(stdout_line(out, key).split(" = ")[1])
 
 
 class TestLoadConfig:
@@ -115,7 +119,7 @@ class TestDesignFlow:
         # library defaults, so re-evaluation needs the config to agree
         assert main(["eval", str(out), "--config", small_config]) == 0
         eval_out = capsys.readouterr().out
-        assert stdout_value(eval_out, "worst_case") == pytest.approx(worst, abs=1e-9)
+        assert stdout_line(eval_out, "worst_case") == stdout_line(design_out, "worst_case")
         assert abs(stdout_value(eval_out, "worst_aod_deg")) <= 90.0
 
     def test_reference_design_worst_case(self, write_config, tmp_path, capsys):

@@ -33,6 +33,7 @@ from widebeam.codebook import (
     _two_sample_bound,
     _windowed_min,
     shift_beam,
+    shift_rows,
 )
 from widebeam.prv import prv_beam, prv_plan
 from widebeam.zones import divide_zones, prop3_upper_bound, virtual_interval
@@ -182,13 +183,19 @@ class TestAssembly:
         assert np.ptp(report.per_zone) < 1e-6 * 16
 
     def test_beams_are_the_prototype_shifted_to_each_center(self, cfg16):
-        # the one block product is bitwise the per-center shift_beam loop
+        # row 0 is shift_beam's, bit for bit; shift_rows takes it to every
+        # center, which is the file reader's rule, and each row lies within
+        # rounding of the per-center shift_beam
         partition = divide_zones(cfg16)
         init = prv_beam(prv_plan(16, partition.delta_omega))
         prototype, _ = solve(cfg16, SolverConfig(), partition.delta_omega, init)
         book = build_codebook(cfg16)
-        for w, c in zip(book.weights, partition.centers(), strict=True):
-            assert w.tobytes() == shift_beam(prototype, c).weights.tobytes()
+        centers = partition.centers()
+        row0 = shift_beam(prototype, centers[0]).weights
+        assert book.weights[0].tobytes() == row0.tobytes()
+        assert book.weights.tobytes() == shift_rows(row0, centers).tobytes()
+        for w, c in zip(book.weights, centers, strict=True):
+            assert np.abs(w - shift_beam(prototype, c).weights).max() <= 1e-13
 
     def test_deterministic_rebuild(self, cfg16):
         a = build_codebook(cfg16)
