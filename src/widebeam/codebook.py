@@ -4,7 +4,10 @@ One prototype beam is optimized over a centered virtual window and then
 shifted to every zone center by an element-wise steering product; the shift
 translates the whole gain pattern, so all zones inherit the same local
 worst case.  A book holds its L beams as one read-only (L, N) block,
-`book.weights`.  Evaluation sweeps angle x frequency grids.  Both sweep
+`book.weights`, and decides once, when built, whether every row is row 0
+shifted to its zone's center by shift_rows (`book.shifted`); build_codebook
+and the file reader build rows by that function, so a designed book reads
+back bit for bit.  Evaluation sweeps angle x frequency grids.  Both sweep
 paths prune by one rule: a beam's gain at any one frequency bounds its
 band minimum from above, so a beam whose bound falls below a band minimum
 that another beam attains can neither win nor tie, and is never swept over
@@ -22,22 +25,18 @@ the lowest offset in the centred ring around the home beam; below
 GUARD_FLOOR a gain is a minimum some beam attains, at most the exact one.
 Any other codebook goes through the general sweep, which bounds every beam
 by its minimum over three probe frequencies and is exact.
-
-A designed book's rows come from shift_rows, which takes the first zone's
-beam to every other center; the file reader rebuilds them by the same
-function, so a designed book reads back bit for bit.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import alm
-from .array_model import (BeamVector, SystemConfig, check_modulus,
+from .array_model import (MODULUS_TOL, BeamVector, SystemConfig, check_modulus,
                           dirichlet_power, phase_powers, steering_composite)
 from .prv import prv_beam, prv_plan
 from .zones import (ZonePartition, divide_zones, sine_boundaries, sine_centers,
@@ -57,11 +56,15 @@ log = logging.getLogger(__name__)
 class Codebook:
     """L beams as a read-only (L, N) complex copy `weights`, row l the beam
     of zone l + 1, its shape and constant modulus checked once; the
-    partition that generated them; and a provenance record."""
+    partition that generated them; a provenance record; and `shifted`,
+    derived from the weights at every construction (replace included):
+    whether each row is row 0 shifted by shift_rows to the partition's
+    centers, to MODULUS_TOL."""
 
     weights: np.ndarray
     partition: ZonePartition
     provenance: dict
+    shifted: bool = field(init=False)
 
     def __post_init__(self):
         w = np.array(self.weights, dtype=complex)
@@ -70,6 +73,9 @@ class Codebook:
         check_modulus(w)
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
+        gap = shift_rows(w[0], self.partition.centers())
+        gap -= w
+        object.__setattr__(self, "shifted", bool(np.abs(gap).max() <= MODULUS_TOL))
 
     def __len__(self) -> int:
         return self.weights.shape[0]
@@ -177,22 +183,23 @@ def design_beam_for_aod(cfg: SystemConfig, solver_cfg: alm.SolverConfig | None,
     return shift_beam(_prototype(cfg, solver_cfg, (cfg.B / cfg.f_c) * abs(s)), s)
 
 
-def _matched_centers(cfg: SystemConfig, cb: Codebook) -> np.ndarray | None:
-    """Sine-space centers if cb is a plain response-vector codebook, else None.
-
-    Recognized: uniform sine zone boundaries and every beam equal to the
-    response vector at its zone's sine center, both within 1e-9.  This is
-    what the narrowband constructor emits and what its JSON round-trip
-    produces.  The response vectors are built by doubling (phase_powers),
-    whose rounding lies far below the tolerance.
+def _matched_centers(cb: Codebook) -> np.ndarray | None:
+    """The uniform sine centers s if cb is a plain response-vector codebook,
+    else None: a shift book with uniform sine boundaries (to 1e-9) whose
+    row 0 w_0 and centers c meet, a(s) being the response vector,
+    |w_0 - a(s_0)/sqrt(N)|_inf + 2 pi (N-1)/sqrt(N) max_l |c_l - s_l| <= 1e-9.
+    Row l is w_0 shifted by c_l - c_0, so by the triangle inequality that sum
+    bounds every row's distance from a(s_l)/sqrt(N), MODULUS_TOL aside, in
+    O(N + L).  The narrowband book and its file round-trip pass.
     """
-    L = len(cb)
-    if np.abs(np.sin(cb.partition.boundaries) - sine_boundaries(L)).max() > 1e-9:
+    L, n = cb.weights.shape
+    bounds = np.abs(np.sin(cb.partition.boundaries) - sine_boundaries(L)).max()
+    if not cb.shifted or bounds > 1e-9:
         return None
     centers = sine_centers(L)
-    if np.abs(cb.weights - phase_powers(cfg.N, -centers).T / np.sqrt(cfg.N)).max() > 1e-9:
-        return None
-    return centers
+    gap = np.abs(cb.weights[0] - steering_composite(n, centers[0]) / np.sqrt(n)).max()
+    drift = np.abs(cb.partition.centers() - centers).max()
+    return centers if gap + 2.0 * np.pi * (n - 1) / np.sqrt(n) * drift <= 1e-9 else None
 
 
 def _cut_range(n: int, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -454,7 +461,17 @@ def _general_sweep(weights: np.ndarray, sines: np.ndarray,
     different shapes.  Survivors keep their index order, so ties still go
     to the lowest index; winners can differ from an all-beams sweep only
     between gains equal to rounding.
+
+    Rows equal bit for bit are swept once, as their first copy, the lowest
+    index: a BLAS kernel may round a row's products by its place in the
+    block, so copies swept apart need not tie.
     """
+    first = {}
+    for i, row in enumerate(weights):
+        first.setdefault(row.tobytes(), i)
+    index = np.fromiter(first.values(), dtype=int, count=len(first))
+    if index.size < len(weights):
+        weights = weights[index]
     L, n = weights.shape
     F = scale.size
     probes = np.unique([0, F // 2, F - 1])
@@ -486,7 +503,7 @@ def _general_sweep(weights: np.ndarray, sines: np.ndarray,
         del E
     log.debug("general path (not a response-vector codebook): %d of %d "
               "beam x angle pairs swept over the full band", swept, L * sines.size)
-    return gains, winner
+    return gains, index[winner]
 
 
 def _per_zone_worst(cfg: SystemConfig, cb: Codebook,
@@ -539,7 +556,7 @@ def evaluate(cfg: SystemConfig, cb: Codebook, mode: str = "grid",
     if cb.weights.shape[1] != cfg.N:
         raise ValueError("codebook beam length does not match cfg.N")
     scale = 1.0 + cfg.frequency_grid() / cfg.f_c
-    centers = _matched_centers(cfg, cb)
+    centers = _matched_centers(cb)
     if centers is not None:
         gains, winner = _matched_codebook_sweep(cfg.N, centers, sines, scale)
     else:

@@ -5,17 +5,17 @@ IEEE doubles exactly, and the reader turns the `-0` that this writes for a
 negative zero back into -0.0, so write -> read -> write is byte-identical.
 
 The writer emits schema version 2 from the book's (L, N) weight block,
-`book.weights`.  Every book the library builds is one beam shifted to
-each zone center, so a book whose rows check out as row 0 shifted by
-steering(c_l - c_0) to the partition's centers c_l, to MODULUS_TOL, is
-stored as `reference_beam` (row 0, bit for bit) and `centers`.  Each
-stored center must be the one the stored boundaries give, bit for bit,
-and the reader rebuilds the whole block from the reference beam and those
-centers with codebook.shift_rows, the function build_codebook builds its
-rows with, so a designed book comes back bit for bit.  Any other book
-keeps the `beams` rows of version 1.  Version 2 also names the zone
-`intervals` mapping, which the reader of a version 1 file has to guess
-from `delta_omega`.  Both versions are read; only version 2 is written.
+`book.weights`.  A book that is one beam shifted to each zone center,
+as every book the library builds is, knows it (`book.shifted`, decided
+when the book is built) and is stored as `reference_beam` (row 0, bit for
+bit) and `centers`.  Each stored center must be the one the stored
+boundaries give, bit for bit, and the reader rebuilds the whole block
+from the reference beam and those centers with codebook.shift_rows, the
+function build_codebook builds its rows with, so a designed book comes
+back bit for bit.  Any other book keeps the `beams` rows of version 1.
+Version 2 also names the zone `intervals` mapping, which the reader of a
+version 1 file has to guess from `delta_omega`.  Both versions are read;
+only version 2 is written.
 
 The writer fills each row from one `%.17g` template; the reader checks a
 row one weight at a time (a shift book has one row, `reference_beam`).
@@ -56,13 +56,6 @@ def _pairs(weights: np.ndarray) -> str:
         weights.view(np.float64).tolist())
 
 
-def _reference_beam(cb: Codebook) -> np.ndarray | None:
-    """Beam 0 if every beam is beam 0 shifted between the partition's
-    centers, to MODULUS_TOL; None otherwise."""
-    derived = shift_rows(cb.weights[0], cb.partition.centers())
-    return cb.weights[0] if np.abs(cb.weights - derived).max() <= MODULUS_TOL else None
-
-
 def codebook_json(cb: Codebook) -> str:
     """Canonical JSON text for a codebook; fixed key order, LF line endings."""
     c = cb.provenance["config"]
@@ -76,9 +69,8 @@ def codebook_json(cb: Codebook) -> str:
         '  "boundaries_rad": [' + ", ".join(_f(b) for b in cb.partition.boundaries) + "],",
         f'  "intervals": "{cb.partition.mapping}",',
     ]
-    reference = _reference_beam(cb)
-    if reference is not None:
-        lines.append(f'  "reference_beam": [{_pairs(reference)}],')
+    if cb.shifted:
+        lines.append(f'  "reference_beam": [{_pairs(cb.weights[0])}],')
         lines.append('  "centers": [' + ", ".join(_f(x) for x in cb.partition.centers()) + "]")
     else:
         lines.append('  "beams": [')

@@ -18,7 +18,8 @@ from widebeam import (
     sweep,
 )
 from widebeam.alm import SolverConfig, solve
-from widebeam.array_model import BeamVector, composite_gain, dirichlet_power, steering_composite
+from widebeam.array_model import (BeamVector, composite_gain, dirichlet_power, phase_powers,
+                                  steering_composite)
 from widebeam.codebook import (
     GUARD_FLOOR,
     PROBE_TOL,
@@ -36,7 +37,8 @@ from widebeam.codebook import (
     shift_rows,
 )
 from widebeam.prv import prv_beam, prv_plan
-from widebeam.zones import divide_zones, prop3_upper_bound, virtual_interval
+from widebeam.zones import (ZonePartition, divide_zones, prop3_upper_bound, virtual_interval,
+                            zone_intervals)
 
 
 def random_cm_beam(n, seed=0):
@@ -424,6 +426,46 @@ class TestSweepPaths:
         a = evaluate(cfg16, book)
         b = evaluate(cfg16, bent)
         assert a.worst_case == pytest.approx(b.worst_case, rel=1e-6)
+
+    def test_narrowband_book_is_recognised_without_a_steering_table(self, cfg16,
+                                                                    monkeypatch):
+        # recognition reads the book's shift structure, row 0 and the
+        # centers: no steering vector is built for more than one direction
+        book = narrowband_codebook(cfg16)
+        directions = []
+
+        def counted(fn):
+            def wrapper(n, u):
+                directions.append(np.size(u))
+                return fn(n, u)
+            return wrapper
+
+        monkeypatch.setattr("widebeam.codebook.phase_powers", counted(phase_powers))
+        monkeypatch.setattr("widebeam.codebook.steering_composite", counted(steering_composite))
+        report = evaluate(cfg16, book)
+        assert report.worst_case == pytest.approx(prop1_worst_case(cfg16).worst_case_gain,
+                                                  rel=1e-6)
+        assert max(directions, default=0) <= 1
+
+    def test_moved_boundaries_are_not_matched(self, caplog):
+        # interior boundary sines 1e-10 off the uniform ones pass the 1e-9
+        # boundary test, and the rows, response vectors at the partition's
+        # own centers, form a shift book; but the centers' drift, times
+        # 2 pi (N-1)/sqrt(N), exceeds 1e-9, so the book is swept as any other
+        cfg = SystemConfig(f_c=140e9, B=10e9, N=64, L=128, n_angle=256, n_freq=9)
+        sines = np.linspace(-1.0, 1.0, cfg.L + 1)
+        sines[1:-1] += 1e-10
+        bounds = np.arcsin(sines)
+        bounds[0], bounds[-1] = -np.pi / 2, np.pi / 2
+        part = ZonePartition(bounds, 2.0 / cfg.L, zone_intervals(cfg, bounds, "sine"), "sine")
+        weights = steering_composite(cfg.N, part.centers()) / np.sqrt(cfg.N)
+        book = Codebook.assemble(weights, part, cfg, None, kind="narrowband")
+        assert book.shifted
+        assert np.abs(np.sin(bounds) - np.linspace(-1.0, 1.0, cfg.L + 1)).max() <= 1e-9
+        with caplog.at_level(logging.DEBUG, logger="widebeam.codebook"):
+            evaluate(cfg, book)
+        assert [r.getMessage().split(" (")[0] for r in caplog.records
+                if r.name == "widebeam.codebook"] == ["general path"]
 
 
 class TestMatchedSweepExactness:

@@ -16,6 +16,7 @@ from widebeam import (Codebook, SystemConfig, build_codebook, evaluate,
 from widebeam.alm import SolverConfig, solve
 from widebeam.array_model import MODULUS_TOL
 from widebeam.cli import main
+from widebeam.codebook import shift_rows
 from widebeam.prv import prv_beam, prv_plan
 from widebeam.storage import (
     CodebookFormatError,
@@ -668,12 +669,27 @@ class TestShiftPayload:
     def test_random_beams_fall_back_to_rows(self, small_designed):
         book = replace(small_designed,
                        weights=tuple(random_cm_beam(8, seed=i) for i in range(16)))
+        assert small_designed.shifted and not book.shifted
         text = codebook_json(book)
         doc = json.loads(text)
         assert "reference_beam" not in doc and len(doc["beams"]) == 16
         loaded, _ = parse_codebook(text)
         assert same_bits(loaded.weights, book.weights)
         assert codebook_json(loaded) == text
+
+    def test_writer_builds_no_shift_table(self, monkeypatch):
+        # the book knows it is a shift book; the writer only reads that
+        book = build_codebook(SystemConfig(f_c=140e9, B=10e9, N=16, L=32))
+        calls = []
+
+        def counted(reference, centers):
+            calls.append(centers.size)
+            return shift_rows(reference, centers)
+
+        for module in ("widebeam.codebook", "widebeam.storage"):
+            monkeypatch.setattr(f"{module}.shift_rows", counted)
+        assert '"reference_beam"' in codebook_json(book)
+        assert calls == []
 
     def test_assembled_shifts_write_the_built_book(self):
         # build_codebook's stages, one at a time, as a traced run calls them
