@@ -96,8 +96,9 @@ def steering_composite(n: int, u) -> np.ndarray:
     """Raw steering entries exp(j*pi*k*u) for k = 0..n-1.
 
     `u` may be a scalar or an array; the element axis is appended last.
-    One exp per entry, no validation: shift_beam and the narrowband book
-    build their weights here.
+    One exp per entry, no validation: shift_beam builds its beam here, and
+    the narrowband book its row 0 only (Codebook shifts that row to the
+    other centers with phase_powers).
     """
     k = np.arange(n)
     return np.exp(1j * np.pi * np.multiply.outer(np.asarray(u, dtype=float), k))
@@ -110,9 +111,10 @@ def phase_powers(n: int, u) -> np.ndarray:
     product E[h:2h] = E[:h] * exp(-j*pi*h*u).  Row k is then a product of
     popcount(k) exponentials, so the rounding error grows with log2(n),
     not with n as it would along the plain recurrence E[k] = E[k-1]*E[1].
-    The design path builds its steering tables here, a designed book's
-    shifted rows included; steering_composite and composite_gain keep one
-    exp per entry.
+    The design path builds its steering tables here, and so does every
+    shift book its rows (codebook.shift_rows), designed, narrowband or
+    read from a file; steering_composite and composite_gain keep one exp
+    per entry.
     """
     u = np.asarray(u, dtype=float)
     E = np.empty((n, u.size), dtype=complex)

@@ -4,14 +4,16 @@ One prototype beam is optimized over a centered virtual window and then
 shifted to every zone center by an element-wise steering product; the shift
 translates the whole gain pattern, so all zones inherit the same local
 worst case.  A book holds its L beams as one read-only (L, N) block,
-`book.weights`, and decides once, when built, whether every row is row 0
-shifted to its zone's center by shift_rows (`book.shifted`); build_codebook
-and the file reader build rows by that function, so a designed book reads
-back bit for bit.  Evaluation sweeps angle x frequency grids.  Both sweep
-paths prune by one rule: a beam's gain at any one frequency bounds its
-band minimum from above, so a beam whose bound falls below a band minimum
-that another beam attains can neither win nor tie, and is never swept over
-the full band.  For codebooks made of plain response vectors the sweep
+`book.weights`.  Given its row 0 alone, a book is a shift book
+(`book.shifted`): shift_rows builds the block from that row once.
+build_codebook, narrowband_codebook and the file reader all hand over
+row 0, so every shift book the library builds reads back bit for bit.
+Given a whole block, a book decides once whether every row is row 0
+shifted to its zone's center.  Evaluation sweeps angle x frequency grids.
+Both sweep paths prune by one rule: a beam's gain at any one frequency
+bounds its band minimum from above, so a beam whose bound falls below a
+band minimum that another beam attains can neither win nor tie, and is
+never swept over the full band.  For codebooks made of plain response vectors the sweep
 collapses to Dirichlet-kernel lookups in three steps.  Each angle's
 candidate beams come as runs of offsets read off in closed form, where the
 kernel's sidelobe envelope, less the main lobe's flank, can reach the level
@@ -54,12 +56,15 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class Codebook:
-    """L beams as a read-only (L, N) complex copy `weights`, row l the beam
-    of zone l + 1, its shape and constant modulus checked once; the
-    partition that generated them; a provenance record; and `shifted`,
-    derived from the weights at every construction (replace included):
-    whether each row is row 0 shifted by shift_rows to the partition's
-    centers, to MODULUS_TOL."""
+    """L beams as a read-only (L, N) complex block `weights`, row l the beam
+    of zone l + 1; the partition that generated them; a provenance record;
+    and `shifted`, whether each row is row 0 shifted by shift_rows to the
+    partition's centers.  No caller sets `shifted`.  Given one (N,) row,
+    the book is the shift book that row starts: the row's constant modulus
+    is checked, shift_rows builds the block from it once, and `shifted` is
+    True.  Given an (L, N) block (replace included), the block is copied,
+    its shape and constant modulus are checked, and `shifted` is decided to
+    MODULUS_TOL against one shift table of its row 0."""
 
     weights: np.ndarray
     partition: ZonePartition
@@ -68,14 +73,20 @@ class Codebook:
 
     def __post_init__(self):
         w = np.array(self.weights, dtype=complex)
-        if w.ndim != 2 or w.shape[0] != self.partition.n_zones or w.shape[1] == 0:
-            raise ValueError(f"weights of shape {w.shape} for {self.partition.n_zones} zones")
-        check_modulus(w)
+        if w.ndim == 1 and w.size:
+            check_modulus(w)
+            w = shift_rows(w, self.partition.centers())
+            shifted = True
+        else:
+            if w.ndim != 2 or w.shape[0] != self.partition.n_zones or w.shape[1] == 0:
+                raise ValueError(f"weights of shape {w.shape} for {self.partition.n_zones} zones")
+            check_modulus(w)
+            gap = shift_rows(w[0], self.partition.centers())
+            gap -= w
+            shifted = bool(np.abs(gap).max() <= MODULUS_TOL)
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-        gap = shift_rows(w[0], self.partition.centers())
-        gap -= w
-        object.__setattr__(self, "shifted", bool(np.abs(gap).max() <= MODULUS_TOL))
+        object.__setattr__(self, "shifted", shifted)
 
     def __len__(self) -> int:
         return self.weights.shape[0]
@@ -88,14 +99,14 @@ class Codebook:
     @classmethod
     def assemble(cls, beams, partition: ZonePartition, cfg: SystemConfig,
                  solver_cfg, kind: str) -> "Codebook":
-        """The book of an (L, N) block or a sequence of BeamVectors; the
-        shape must be cfg's (L, N), and the partition's intervals those
-        that cfg gives its boundaries, bit for bit, as the file reader
-        rebuilds them."""
+        """The book of an (L, N) block or a sequence of BeamVectors, or the
+        shift book of one (N,) row 0; the shape must be cfg's (L, N) or
+        (N,), and the partition's intervals those that cfg gives its
+        boundaries, bit for bit, as the file reader rebuilds them."""
         weights = np.asarray(beams, dtype=complex)
-        if weights.shape != (cfg.L, cfg.N):
-            raise ValueError(f"weights of shape {weights.shape} for "
-                             f"L={cfg.L}, N={cfg.N}: expected ({cfg.L}, {cfg.N})")
+        if weights.shape not in ((cfg.L, cfg.N), (cfg.N,)):
+            raise ValueError(f"weights of shape {weights.shape} for L={cfg.L}, N={cfg.N}: "
+                             f"expected ({cfg.L}, {cfg.N}) or ({cfg.N},)")
         if not np.array_equal(partition.intervals,
                               zone_intervals(cfg, partition.boundaries, partition.mapping)):
             raise ValueError(f"partition intervals are not those of its boundaries under "
@@ -135,9 +146,10 @@ def shift_beam(w: BeamVector, t: float) -> BeamVector:
 
 def shift_rows(reference: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Rows reference * steering(c_l - c_0), C-ordered: the beam at
-    centers[0] shifted to every center, the rule by which a shift book is
-    built, written and read back.  Row 0 is reference bit for bit.  The
-    steering table is built by doubling (phase_powers)."""
+    centers[0] shifted to every center.  The one rule of a shift book:
+    Codebook builds every book given as row 0 by it, and tests a given
+    block against it.  Row 0 is reference bit for bit.  The steering table
+    is built by doubling (phase_powers)."""
     rows = np.multiply(phase_powers(reference.size, centers[0] - centers).T,
                        reference, order="C")
     rows[0] = reference  # a product with 1 + 0j can flip the sign of a zero
@@ -156,16 +168,15 @@ def _prototype(cfg: SystemConfig, solver_cfg: alm.SolverConfig | None,
 def build_codebook(cfg: SystemConfig, solver_cfg: alm.SolverConfig | None = None) -> Codebook:
     """Full pipeline: partition, wide-beam prototype, zone shifts.
 
-    Row 0 is shift_beam(prototype, centers[0]); shift_rows takes it to
-    every other center, as the file reader does, so the book read back
-    from its file is this book bit for bit.
+    The book is given row 0, shift_beam(prototype, centers[0]), and builds
+    the other rows from it, as the file reader's book does, so the book
+    read back from its file is this book bit for bit.
     """
     solver_cfg = solver_cfg or alm.SolverConfig()
     partition = divide_zones(cfg)
     prototype = _prototype(cfg, solver_cfg, partition.delta_omega)
-    centers = partition.centers()
-    weights = shift_rows(shift_beam(prototype, centers[0]).weights, centers)
-    return Codebook.assemble(weights, partition, cfg, solver_cfg, kind="wideband")
+    row0 = shift_beam(prototype, partition.centers()[0]).weights
+    return Codebook.assemble(row0, partition, cfg, solver_cfg, kind="wideband")
 
 
 def design_beam_for_aod(cfg: SystemConfig, solver_cfg: alm.SolverConfig | None,

@@ -9,10 +9,11 @@ The writer emits schema version 2 from the book's (L, N) weight block,
 as every book the library builds is, knows it (`book.shifted`, decided
 when the book is built) and is stored as `reference_beam` (row 0, bit for
 bit) and `centers`.  Each stored center must be the one the stored
-boundaries give, bit for bit, and the reader rebuilds the whole block
-from the reference beam and those centers with codebook.shift_rows, the
-function build_codebook builds its rows with, so a designed book comes
-back bit for bit.  Any other book keeps the `beams` rows of version 1.
+boundaries give, bit for bit, and the reader hands the reference beam to
+Codebook, which builds the other rows from it by the rule every shift
+book is built by, so such a book comes back bit for bit.  Any other book
+keeps the `beams` rows of version 1.  This module only reads and writes
+text: it holds no shift rule of its own.
 Version 2 also names the zone `intervals` mapping, which the reader of a
 version 1 file has to guess from `delta_omega`.  Both versions are read;
 only version 2 is written.
@@ -32,7 +33,7 @@ import math
 import numpy as np
 
 from .array_model import MODULUS_TOL, SystemConfig
-from .codebook import Codebook, shift_rows
+from .codebook import Codebook
 from .zones import MAPPINGS, ZonePartition, zone_intervals
 
 SCHEMA_VERSION = 2
@@ -125,12 +126,12 @@ def _weight_row(row, n: int, pointer: str) -> np.ndarray:
     return w
 
 
-def _shifted_beams(doc: dict, n: int, partition: ZonePartition) -> np.ndarray:
-    """The (l, n) weights of a `reference_beam` + `centers` payload.
+def _reference_row(doc: dict, n: int, partition: ZonePartition) -> np.ndarray:
+    """Row 0 of a `reference_beam` + `centers` payload, from which Codebook
+    builds the other rows at the partition's centers.
 
     Each stored center must be the partition's, bit for bit (the sign of a
-    zero included), which every written file meets; the beams are rebuilt
-    from the partition's centers."""
+    zero included), which every written file meets."""
     _require("beams" not in doc, "/beams", "not allowed next to reference_beam")
     reference = _weight_row(doc["reference_beam"], n, "/reference_beam")
     centers = partition.centers()
@@ -142,7 +143,7 @@ def _shifted_beams(doc: dict, n: int, partition: ZonePartition) -> np.ndarray:
         x = _number(v, f"/centers/{i}")
         _require(x == c and math.copysign(1.0, x) == math.copysign(1.0, c),
                  f"/centers/{i}", f"must be the center {_f(c)} of zone {i + 1}")
-    return shift_rows(reference, centers)
+    return reference
 
 
 def parse_codebook(text: str) -> tuple[Codebook, SystemConfig]:
@@ -200,7 +201,7 @@ def parse_codebook(text: str) -> tuple[Codebook, SystemConfig]:
     partition = ZonePartition(bvals, delta, zone_intervals(cfg, bvals, mapping), mapping)
 
     if version == 2 and "reference_beam" in doc:
-        weights = _shifted_beams(doc, n, partition)
+        weights = _reference_row(doc, n, partition)
     else:
         beams_doc = doc.get("beams")
         _require(isinstance(beams_doc, list), "/beams", "expected a list")

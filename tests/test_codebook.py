@@ -130,9 +130,18 @@ class TestAssembly:
             block[3, 2] *= bad
             with pytest.raises(ValueError, match="constant-modulus"):
                 Codebook(weights=block, partition=part, provenance={})
-        for flat in (block[0], np.empty((5, 0), dtype=complex)):
+        for empty in (np.empty((5, 0), dtype=complex), np.empty(0, dtype=complex)):
             with pytest.raises(ValueError, match="shape"):
-                Codebook(weights=flat, partition=part, provenance={})
+                Codebook(weights=empty, partition=part, provenance={})
+        # one row is row 0 of a shift book: the book shifts it to every center
+        row = block[0]
+        book = Codebook(weights=row, partition=part, provenance={})
+        assert book.shifted
+        assert book.weights.tobytes() == shift_rows(row, part.centers()).tobytes()
+        assert not book.weights.flags.writeable
+        assert not np.shares_memory(book.weights, row)
+        with pytest.raises(ValueError, match="constant-modulus"):
+            Codebook(weights=block[3], partition=part, provenance={})
 
     def test_ragged_beams_are_rejected(self):
         cfg = SystemConfig(f_c=140e9, B=10e9, N=8, L=2)
@@ -154,6 +163,12 @@ class TestAssembly:
         for other in (replace(cfg, N=16), replace(cfg, L=15)):
             with pytest.raises(ValueError, match="expected"):
                 Codebook.assemble(book.beams, book.partition, other, None, kind="narrowband")
+        # row 0 alone gives the book back, bit for bit; it too needs cfg's N
+        row = Codebook.assemble(book.weights[0], book.partition, cfg, None, kind="narrowband")
+        assert row.weights.tobytes() == book.weights.tobytes()
+        with pytest.raises(ValueError, match="expected"):
+            Codebook.assemble(book.weights[0], book.partition, replace(cfg, N=16), None,
+                              kind="narrowband")
 
     def test_assemble_needs_the_config_intervals(self):
         # a banded partition divided at 10 GHz under an 8 GHz config would be
@@ -538,10 +553,15 @@ class TestMatchedSweepExactness:
         assert np.any(report.gains < exact.gains)
 
     def test_narrowband_weights_are_the_response_vectors(self, cfg16):
+        # row 0 is the response vector at the first center, bit for bit; the
+        # shift rule builds the others, each within rounding of its own
         book = narrowband_codebook(cfg16)
         centers = (2.0 * np.arange(1, 33) - 1.0) / 32 - 1.0
-        for w, c in zip(book.weights, centers):
-            assert np.array_equal(w, steering_composite(16, c) / np.sqrt(16))
+        row0 = steering_composite(16, centers[0]) / np.sqrt(16)
+        assert book.weights[0].tobytes() == row0.tobytes()
+        assert book.weights.tobytes() == shift_rows(row0, book.partition.centers()).tobytes()
+        for w, c in zip(book.weights, centers, strict=True):
+            assert np.abs(w - steering_composite(16, c) / np.sqrt(16)).max() <= 1e-13
 
 
 class TestGeneralSweepExactness:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 
 from widebeam import (Codebook, SystemConfig, build_codebook, evaluate,
-                      narrowband_codebook, shift_beam)
+                      narrowband_codebook, shift_beam, storage)
 from widebeam.alm import SolverConfig, solve
 from widebeam.array_model import MODULUS_TOL
 from widebeam.cli import main
@@ -139,19 +139,15 @@ class TestRoundTrip:
             assert np.array_equal(loaded.weights, cb.weights)
 
     def test_shifted_beams_come_back(self, cfg16, small_designed):
-        # a designed book is built by the reader's shift rule and comes back
-        # bit for bit; the narrowband book's rows keep one exp per entry
+        # designed and narrowband books are both built from row 0 by the
+        # reader's shift rule, and both come back bit for bit
         for cb in (narrowband_codebook(cfg16), small_designed):
             loaded, _ = parse_codebook(codebook_json(cb))
             assert np.array_equal(loaded.partition.boundaries,
                                   cb.partition.boundaries)
             assert same_bits(loaded.partition.intervals, cb.partition.intervals)
             assert loaded.partition.mapping == cb.partition.mapping
-            assert same_bits(loaded.weights[0], cb.weights[0])
-            if cb is small_designed:
-                assert same_bits(loaded.weights, cb.weights)
-            else:
-                assert np.abs(loaded.weights - cb.weights).max() <= 1e-12
+            assert same_bits(loaded.weights, cb.weights)
 
     def test_file_round_trip(self, tmp_path, small_designed):
         path = tmp_path / "cb.json"
@@ -677,19 +673,37 @@ class TestShiftPayload:
         assert same_bits(loaded.weights, book.weights)
         assert codebook_json(loaded) == text
 
-    def test_writer_builds_no_shift_table(self, monkeypatch):
-        # the book knows it is a shift book; the writer only reads that
-        book = build_codebook(SystemConfig(f_c=140e9, B=10e9, N=16, L=32))
+    @pytest.fixture
+    def shift_calls(self, monkeypatch):
+        """The center counts of the shift_rows calls made from now on."""
         calls = []
 
         def counted(reference, centers):
             calls.append(centers.size)
             return shift_rows(reference, centers)
 
-        for module in ("widebeam.codebook", "widebeam.storage"):
-            monkeypatch.setattr(f"{module}.shift_rows", counted)
+        monkeypatch.setattr("widebeam.codebook.shift_rows", counted)
+        return calls
+
+    def test_writer_builds_no_shift_table(self, shift_calls):
+        # the book knows it is a shift book; the writer only reads that
+        book = build_codebook(SystemConfig(f_c=140e9, B=10e9, N=16, L=32))
+        shift_calls.clear()
+        assert not hasattr(storage, "shift_rows")
         assert '"reference_beam"' in codebook_json(book)
-        assert calls == []
+        assert shift_calls == []
+
+    def test_one_shift_table_per_book(self, shift_calls):
+        # a book built or read from row 0 builds its rows once, and a block
+        # is tested against one table
+        cfg = SystemConfig(f_c=140e9, B=10e9, N=16, L=32)
+        designed = build_codebook(cfg)
+        text = codebook_json(designed)
+        for make in (lambda: build_codebook(cfg), lambda: narrowband_codebook(cfg),
+                     lambda: parse_codebook(text), lambda: replace(designed)):
+            shift_calls.clear()
+            make()
+            assert shift_calls == [cfg.L]
 
     def test_assembled_shifts_write_the_built_book(self):
         # build_codebook's stages, one at a time, as a traced run calls them
@@ -704,13 +718,15 @@ class TestShiftPayload:
 
     @settings(deadline=None, max_examples=40)
     @given(n=st.integers(1, 48), l=st.integers(1, 96),
-           b_ghz=st.sampled_from([0, 2, 10, 18, 40]))
-    @example(n=48, l=96, b_ghz=40)
-    def test_designed_book_is_its_reread(self, n, l, b_ghz):
-        # the reader rebuilds the rows by the rule build_codebook built them with
+           b_ghz=st.sampled_from([0, 2, 10, 18, 40]),
+           build=st.sampled_from([build_codebook, narrowband_codebook]))
+    @example(n=48, l=96, b_ghz=40, build=build_codebook)
+    @example(n=48, l=96, b_ghz=40, build=narrowband_codebook)
+    def test_designed_book_is_its_reread(self, n, l, b_ghz, build):
+        # the reader rebuilds the rows by the rule both builders built them with
         cfg = SystemConfig(f_c=140e9, B=b_ghz * 1e9, N=n, L=l, n_freq=17, n_angle=64)
         try:
-            book = build_codebook(cfg)
+            book = build(cfg)
         except RuntimeError:  # the initializer's null at L = 1, even N
             reject()
         loaded, _ = parse_codebook(codebook_json(book))
@@ -771,10 +787,16 @@ class TestVersion1Fixtures:
         assert (cfg.f_c, cfg.B, cfg.N, cfg.L) == (140e9, 10e9, 8, 16)
         assert loaded.partition.mapping == book.partition.mapping
         if name == "baseline_v1":
-            assert same_bits(loaded.weights, book.weights)
             assert same_bits(loaded.partition.boundaries, book.partition.boundaries)
             assert same_bits(loaded.partition.intervals, book.partition.intervals)
             assert codebook_json(loaded) == codebook_json(book)
+            # the reader keeps the file's one-exp-per-entry rows; the book
+            # builds its rows from row 0, so the two agree bit for bit at
+            # row 0 and to rounding elsewhere, and the file rewritten as
+            # version 2 reads back as the book itself
+            assert same_bits(loaded.weights[0], book.weights[0])
+            assert same_bits(parse_codebook(codebook_json(loaded))[0].weights, book.weights)
+            assert np.abs(loaded.weights - book.weights).max() <= 1e-13
             return
         # the designed file's zones were bisected, and its broadside boundary
         # sits at 5.8e-13 rad where the closed form puts exactly 0; the gaps
