@@ -215,7 +215,7 @@ def solve(
         res = y - target + s_hw
         u_bar, lambda_bar = update_duals(u_bar, lambda_bar, res, w, x,
                                          solver_cfg.beta1, solver_cfg.beta2)
-        residuals.append(float(np.linalg.norm(res)))
+        residuals.append(float(np.sqrt(np.vdot(res, res).real)))
         rows[filled] = x
         filled += 1
         if filled == SCORE_ROWS:

@@ -111,10 +111,10 @@ def phase_powers(n: int, u) -> np.ndarray:
     product E[h:2h] = E[:h] * exp(-j*pi*h*u).  Row k is then a product of
     popcount(k) exponentials, so the rounding error grows with log2(n),
     not with n as it would along the plain recurrence E[k] = E[k-1]*E[1].
-    The design path builds its steering tables here, and so does every
-    shift book its rows (codebook.shift_rows), designed, narrowband or
-    read from a file; steering_composite and composite_gain keep one exp
-    per entry.
+    The design path, every shift book's rows (codebook.shift_rows) and
+    gain_floor, behind the initializer's coverage check and the per-zone
+    minima, build their steering tables here; steering_composite and
+    composite_gain keep one exp per entry.
     """
     u = np.asarray(u, dtype=float)
     E = np.empty((n, u.size), dtype=complex)
@@ -125,6 +125,14 @@ def phase_powers(n: int, u) -> np.ndarray:
         np.multiply(E[:m], np.exp(-1j * np.pi * h * u), out=E[h:h + m])
         h *= 2
     return E
+
+
+def gain_floor(w: np.ndarray, lo: float, hi: float, samples: int) -> float:
+    """Least gain |h(u)^H w|^2 over `samples` uniform points spanning [lo, hi],
+    through one phase_powers table, whose rounding differs from
+    composite_gain's per-entry exp only in the last bits."""
+    u = np.linspace(lo, hi, samples)
+    return float((np.abs(w @ phase_powers(w.size, u)) ** 2).min())
 
 
 def composite_gain(weights: np.ndarray, u) -> np.ndarray:

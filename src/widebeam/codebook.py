@@ -10,6 +10,8 @@ build_codebook, narrowband_codebook and the file reader all hand over
 row 0, so every shift book the library builds reads back bit for bit.
 Given a whole block, a book decides once whether every row is row 0
 shifted to its zone's center.  Evaluation sweeps angle x frequency grids.
+A shift book's per-zone minima read row 0 alone, over each zone's window
+moved back to zone 0, one gain_floor per distinct window.
 Both sweep paths prune by one rule: a beam's gain at any one frequency
 bounds its band minimum from above, so a beam whose bound falls below a
 band minimum that another beam attains can neither win nor tie, and is
@@ -39,7 +41,7 @@ import numpy as np
 
 from . import alm
 from .array_model import (MODULUS_TOL, BeamVector, SystemConfig, check_modulus,
-                          dirichlet_power, phase_powers, steering_composite)
+                          dirichlet_power, gain_floor, phase_powers, steering_composite)
 from .prv import prv_beam, prv_plan
 from .zones import (ZonePartition, divide_zones, sine_boundaries, sine_centers,
                     zone_intervals)
@@ -48,7 +50,6 @@ ZONE_GRID = 1025        # per-zone virtual grid for local worst cases
 GUARD_FLOOR = 5e-4      # matched-sweep gains below this may miss a better beam
 SWEEP_CELLS = 1e6       # phase-matrix cells per angle block of the general sweep
 PROBE_TOL = 1e-9        # relative slack that keeps near-ties in the pruned sweeps
-HORNER_ROWS = 32        # beams per Horner pass of the per-zone minima
 LOBE_TABLE = 1024       # main-lobe intervals behind the matched sweep's lobe reach
 
 log = logging.getLogger(__name__)
@@ -525,25 +526,22 @@ def _per_zone_worst(cfg: SystemConfig, cb: Codebook,
     interval, so a single composite sweep over that interval is the band
     minimum taken over the whole zone.  For matched books that minimum is
     _windowed_min over the zone's ZONE_GRID samples, a handful of
-    Dirichlet lookups per zone.  Otherwise row l is evaluated on its own
-    ZONE_GRID points by Horner's rule in z = exp(-j*pi*u) over the beam
-    weights, HORNER_ROWS rows at a time so the accumulator stays in cache;
-    no N x M matrix is formed.
+    Dirichlet lookups per zone.  Otherwise it is gain_floor over the same
+    samples, once per distinct (row, window) pair.  Row l of a shift book
+    translates row 0's pattern by c_l - c_0, so zone l reads row 0 over its
+    window moved back by c_l - c_0, about ten distinct windows for a
+    designed book; any other book reads row l over zone l's own window.
     """
     lo, hi = zone_intervals(cfg, cb.partition.boundaries, "banded").T
     if centers is not None:
         return _windowed_min(cfg.N, lo - centers, hi - centers, ZONE_GRID) / cfg.N
-    grid = np.ascontiguousarray(np.linspace(lo, hi, ZONE_GRID, axis=1))
-    out = np.empty(len(cb))
-    for r in range(0, len(cb), HORNER_ROWS):
-        z = np.exp(-1j * np.pi * grid[r:r + HORNER_ROWS])
-        w = cb.weights[r:r + HORNER_ROWS]
-        acc = np.repeat(w[:, -1:], ZONE_GRID, axis=1)
-        for k in range(cfg.N - 2, -1, -1):
-            acc *= z
-            acc += w[:, k:k + 1]
-        out[r:r + HORNER_ROWS] = (np.abs(acc) ** 2).min(axis=1)
-    return out
+    rows = np.arange(len(cb))
+    if cb.shifted:
+        c = cb.partition.centers()
+        rows, lo, hi = np.zeros_like(rows), lo - (c - c[0]), hi - (c - c[0])
+    keys, slot = np.unique(np.column_stack([rows, lo, hi]), axis=0, return_inverse=True)
+    floors = [gain_floor(cb.weights[int(r)], a, b, ZONE_GRID) for r, a, b in keys]
+    return np.array(floors)[slot]
 
 
 def evaluate(cfg: SystemConfig, cb: Codebook, mode: str = "grid",

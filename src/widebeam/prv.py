@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_model import BeamVector, phase_powers
+from .array_model import BeamVector, gain_floor
 
 COVERAGE_GRID = 512    # points for the construction-time positivity check
 COVERAGE_FLOOR = 1e-9  # least gain it accepts: 1e-9 of a constant-modulus beam's mean gain, 1
@@ -44,11 +44,11 @@ class PrvPlan:
 def prv_plan(n: int, delta_omega: float) -> PrvPlan:
     """Choose the sub-array split for a window of width delta_omega.
 
-    A single response vector covers up to 2/n, so delta_omega <= 2/n keeps
-    Z = 1.  Beyond that Z is the smallest divisor of n with
-    Z >= sqrt(delta_omega*n/2): the smallest split keeps sub-arrays long
-    and per-direction gain high, while the square-root floor guarantees Z
-    slices of width delta_omega/Z fit the 2Z/n sub-array beamwidth.  Z = n
+    Z is the smallest divisor of n with Z >= sqrt(delta_omega*n/2): the
+    smallest split keeps sub-arrays long and per-direction gain high, while
+    the square-root floor guarantees Z slices of width delta_omega/Z fit
+    the 2Z/n sub-array beamwidth.  A single response vector covers up to
+    2/n, and delta_omega <= 2/n gives Z = 1, since fl(fl(2/n)*n) <= 2.  Z = n
     qualifies while delta_omega <= 2n; a wider window, which a zone
     partition gives only at n = 1 and L = 1, takes Z = n as well.
     """
@@ -56,11 +56,8 @@ def prv_plan(n: int, delta_omega: float) -> PrvPlan:
         raise ValueError(f"n must be >= 1, got {n}")
     if delta_omega < 0:
         raise ValueError(f"delta_omega must be non-negative, got {delta_omega}")
-    if delta_omega <= 2.0 / n:
-        Z = 1
-    else:
-        z_min = np.sqrt(delta_omega * n / 2.0)
-        Z = next((z for z in range(1, n + 1) if n % z == 0 and z >= z_min), n)
+    z_min = np.sqrt(delta_omega * n / 2.0)
+    Z = next((z for z in range(1, n + 1) if n % z == 0 and z >= z_min), n)
     N_s = n // Z
     z = np.arange(1, Z + 1)
     pointing = -delta_omega / 2 + (2 * z - 1) * delta_omega / (2 * Z)
@@ -68,17 +65,6 @@ def prv_plan(n: int, delta_omega: float) -> PrvPlan:
     thetas = ((Z - z + 1) * N_s - 1) / (2 * Z) * (z - 1) * np.pi * delta_omega
     return PrvPlan(Z=int(Z), N_s=int(N_s), thetas=thetas,
                    pointing=pointing, intersections=intersections)
-
-
-def coverage_floor(w: np.ndarray, half: float) -> float:
-    """Least gain |h(u)^H w|^2 over COVERAGE_GRID points spanning [-half, half].
-
-    The steering table comes from phase_powers, whose rounding differs from
-    composite_gain's per-entry exp only in the last bits; a threshold check
-    does not need those bits.
-    """
-    u = np.linspace(-half, half, COVERAGE_GRID)
-    return float((np.abs(w @ phase_powers(w.size, u)) ** 2).min())
 
 
 def prv_beam(plan: PrvPlan) -> BeamVector:
@@ -90,7 +76,7 @@ def prv_beam(plan: PrvPlan) -> BeamVector:
     exceed COVERAGE_FLOOR over the whole window the plan was built for, so
     a null computed to rounding (a gain near 1e-30) is a null.  The check
     reads the gain on COVERAGE_GRID points through a doubled steering table
-    (coverage_floor).
+    (array_model.gain_floor), the helper behind the per-zone minima too.
     """
     k = np.arange(plan.N_s)
     blocks = [
@@ -99,7 +85,7 @@ def prv_beam(plan: PrvPlan) -> BeamVector:
     ]
     w = np.conj(np.concatenate(blocks)) / np.sqrt(plan.n)
     half = min(plan.intersections[-1], 1.0)  # window clamped into one period
-    floor = coverage_floor(w, half)
+    floor = gain_floor(w, -half, half, COVERAGE_GRID)
     if not floor > COVERAGE_FLOOR:
         raise RuntimeError(
             f"sub-array stack leaves a null inside its window (min gain {floor:.3e})"

@@ -59,7 +59,9 @@ def _pairs(weights: np.ndarray) -> str:
 
 def codebook_json(cb: Codebook) -> str:
     """Canonical JSON text for a codebook; fixed key order, LF line endings."""
-    c = cb.provenance["config"]
+    c = cb.provenance.get("config")
+    if c is None:
+        raise ValueError("codebook has no config; build it with Codebook.assemble")
     lines = [
         "{",
         f'  "version": {SCHEMA_VERSION},',

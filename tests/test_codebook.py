@@ -2,6 +2,7 @@
 
 import logging
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,8 +19,8 @@ from widebeam import (
     sweep,
 )
 from widebeam.alm import SolverConfig, solve
-from widebeam.array_model import (BeamVector, composite_gain, dirichlet_power, phase_powers,
-                                  steering_composite)
+from widebeam.array_model import (BeamVector, composite_gain, dirichlet_power, gain_floor,
+                                  phase_powers, steering_composite)
 from widebeam.codebook import (
     GUARD_FLOOR,
     PROBE_TOL,
@@ -37,8 +38,11 @@ from widebeam.codebook import (
     shift_rows,
 )
 from widebeam.prv import prv_beam, prv_plan
+from widebeam.storage import read_codebook
 from widebeam.zones import (ZonePartition, divide_zones, prop3_upper_bound, virtual_interval,
                             zone_intervals)
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def random_cm_beam(n, seed=0):
@@ -616,25 +620,63 @@ class TestPerZoneWorst:
                 out.append((dirichlet_power(grid - centers[l], cfg.N) / cfg.N).min())
         return np.array(out)
 
+    @staticmethod
+    def floor_rows(monkeypatch):
+        """The rows that gain_floor is called on, one entry per call."""
+        rows = []
+
+        def counted(w, *args):
+            rows.append(w)
+            return gain_floor(w, *args)
+
+        monkeypatch.setattr("widebeam.codebook.gain_floor", counted)
+        return rows
+
     def test_designed_book(self, cfg16):
         book = build_codebook(cfg16)
         assert _per_zone_worst(cfg16, book, None) == pytest.approx(
             self.per_beam_loop(cfg16, book, None), rel=1e-10)
 
+    def test_shift_book_reads_row_zero_once_per_window(self, monkeypatch):
+        # every zone of a shift book is row 0 over a translated window, and
+        # the designed book's 256 windows take at most 16 distinct values
+        cfg = SystemConfig(f_c=140e9, B=10e9, N=128, L=256)
+        book = build_codebook(cfg)
+        rows = self.floor_rows(monkeypatch)
+        got = _per_zone_worst(cfg, book, None)
+        assert 1 <= len(rows) <= 16
+        assert all(np.array_equal(w, book.weights[0]) for w in rows)
+        assert got == pytest.approx(self.per_beam_loop(cfg, book, None), rel=1e-10)
+
+    def test_version1_designed_fixture(self, monkeypatch):
+        # a shift book decided from a given block: its rows are row 0's
+        # shifts only to rounding, and its minima still match row by row
+        book, cfg = read_codebook(DATA / "designed_v1.json")
+        assert book.shifted
+        rows = self.floor_rows(monkeypatch)
+        assert _per_zone_worst(cfg, book, None) == pytest.approx(
+            self.per_beam_loop(cfg, book, None), rel=1e-10)
+        assert 1 <= len(rows) < len(book)
+
     @pytest.mark.parametrize("n,l", [(1, 3), (7, 9), (33, 40)])
-    def test_random_book(self, n, l):
+    def test_random_book(self, n, l, monkeypatch):
         cfg = SystemConfig(f_c=140e9, B=10e9, N=n, L=l)
         part = divide_zones(cfg)
         book = Codebook(weights=tuple(random_cm_beam(n, seed=i) for i in range(l)),
                         partition=part, provenance={})
+        assert not book.shifted
+        rows = self.floor_rows(monkeypatch)
         assert _per_zone_worst(cfg, book, None) == pytest.approx(
             self.per_beam_loop(cfg, book, None), rel=1e-10)
+        assert len(rows) == l
 
-    def test_matched_book(self, cfg16):
+    def test_matched_book(self, cfg16, monkeypatch):
         book = narrowband_codebook(cfg16)
         centers = (2.0 * np.arange(1, 33) - 1.0) / 32 - 1.0
+        rows = self.floor_rows(monkeypatch)
         assert _per_zone_worst(cfg16, book, centers) == pytest.approx(
             self.per_beam_loop(cfg16, book, centers), rel=1e-10)
+        assert rows == []
 
 
 class TestEvaluateLog:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from widebeam import SystemConfig, divide_zones
-from widebeam.array_model import composite_gain
-from widebeam.prv import COVERAGE_GRID, coverage_floor, prv_beam, prv_plan
+from widebeam.array_model import composite_gain, gain_floor
+from widebeam.prv import COVERAGE_GRID, prv_beam, prv_plan
 
 
 def block_responses(plan, w, t):
@@ -30,6 +30,26 @@ class TestPlan:
     def test_narrow_window_keeps_single_block(self):
         assert prv_plan(16, 2.0 / 16).Z == 1
         assert prv_plan(16, 0.0).Z == 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 16, 49, 64, 97, 100, 128, 381,
+                                   1000, 1024, 2048, 4093, 4095, 4096])
+    def test_divisor_search_keeps_single_block_up_to_two_over_n(self, n):
+        # no shortcut for delta_omega <= 2/n: the divisor search itself
+        # gives Z = 1 there, since fl(fl(2/n)*n) <= 2, and past 2/n it gives
+        # the split that a Z = 1 shortcut up to 2/n followed by the search
+        # would give
+        def split(delta):
+            if delta <= 2.0 / n:
+                return 1
+            z_min = np.sqrt(delta * n / 2.0)
+            return next((z for z in range(1, n + 1) if n % z == 0 and z >= z_min), n)
+
+        edge = 2.0 / n
+        below = [0.0, edge, np.nextafter(edge, 0.0), edge / 2]
+        assert all(prv_plan(n, delta).Z == 1 for delta in below)
+        others = [np.nextafter(edge, np.inf), *np.random.default_rng(n).uniform(0.0, 4.0 / n, 8)]
+        for delta in below + others:
+            assert prv_plan(n, delta).Z == split(delta), delta
 
     @pytest.mark.parametrize("n,width", [(16, 0.3), (16, 0.9), (32, 0.5),
                                          (24, 0.7), (64, 1.4), (12, 1.9)])
@@ -83,15 +103,20 @@ class TestBeam:
     @pytest.mark.parametrize("seed", range(8))
     def test_coverage_floor_is_the_exp_oracle_floor(self, seed):
         # the doubled steering table against composite_gain's per-entry exp,
-        # on windows narrower than one period of the pattern
+        # on windows narrower than one period of the pattern: the centred
+        # coverage window, and asymmetric windows inside it, as the per-zone
+        # minima take them
         rng = np.random.default_rng(seed)
         for _ in range(10):
             n = int(rng.choice([4, 8, 12, 16, 32, 64, 128, 256]))
             plan = prv_plan(n, rng.uniform(0.0, 1.9))
             w = prv_beam(plan).weights
             half = min(plan.intersections[-1], 1.0)
-            expect = composite_gain(w, np.linspace(-half, half, COVERAGE_GRID)).min()
-            assert coverage_floor(w, half) == pytest.approx(expect, rel=1e-12, abs=0)
+            lo, hi = np.sort(rng.uniform(-half, half, 2))
+            for a, b in [(-half, half), (lo, hi), (half / 3, half), (-half, 0.0)]:
+                expect = composite_gain(w, np.linspace(a, b, COVERAGE_GRID)).min()
+                assert gain_floor(w, a, b, COVERAGE_GRID) == pytest.approx(
+                    expect, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 16, 64, 256])
     def test_one_zone_null_at_even_n(self, n):

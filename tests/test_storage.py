@@ -149,6 +149,12 @@ class TestRoundTrip:
             assert loaded.partition.mapping == cb.partition.mapping
             assert same_bits(loaded.weights, cb.weights)
 
+    def test_book_without_config_is_refused(self, small_designed):
+        book = Codebook(weights=small_designed.weights, partition=small_designed.partition,
+                        provenance={})
+        with pytest.raises(ValueError, match="no config.*Codebook.assemble"):
+            codebook_json(book)
+
     def test_file_round_trip(self, tmp_path, small_designed):
         path = tmp_path / "cb.json"
         write_codebook(path, small_designed)
