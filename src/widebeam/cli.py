@@ -21,7 +21,7 @@ from .alm import SolverConfig
 from .array_model import SystemConfig, composite_gain
 from .codebook import build_codebook, evaluate, shift_rows
 from .narrowband import sweep
-from .zones import PartitionLimitError, divide_zones, prop3_upper_bound, sine_boundaries
+from .zones import PartitionLimitError, prop3_upper_bound
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -187,11 +187,6 @@ def _check_shift(cfg: SystemConfig) -> bool:
     return True
 
 
-def _check_zero_band_zones(cfg: SystemConfig) -> bool:
-    part = divide_zones(replace(cfg, B=0.0))
-    return bool(np.abs(np.sin(part.boundaries) - sine_boundaries(cfg.L)).max() <= 1e-12)
-
-
 def cmd_validate(args) -> int:
     cfg, solver_cfg = load_config(args.config)
     checks = [
@@ -199,7 +194,6 @@ def cmd_validate(args) -> int:
         ("prop2-argmax", lambda: _check_prop2(cfg)),
         ("prop3-bound", lambda: _check_prop3(cfg, solver_cfg)),
         ("shift-translation", lambda: _check_shift(cfg)),
-        ("zero-band-zones", lambda: _check_zero_band_zones(cfg)),
     ]
     all_ok = True
     for name, run in checks:

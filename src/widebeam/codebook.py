@@ -33,7 +33,6 @@ by its minimum over three probe frequencies and is exact.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 from dataclasses import asdict, dataclass, field
 
@@ -102,12 +101,16 @@ class Codebook:
                  solver_cfg, kind: str) -> "Codebook":
         """The book of an (L, N) block or a sequence of BeamVectors, or the
         shift book of one (N,) row 0; the shape must be cfg's (L, N) or
-        (N,), and the partition's intervals those that cfg gives its
-        boundaries, bit for bit, as the file reader rebuilds them."""
+        (N,), the partition's zone count cfg's L, and its intervals those
+        that cfg gives its boundaries, bit for bit, as the file reader
+        rebuilds them."""
         weights = np.asarray(beams, dtype=complex)
         if weights.shape not in ((cfg.L, cfg.N), (cfg.N,)):
             raise ValueError(f"weights of shape {weights.shape} for L={cfg.L}, N={cfg.N}: "
                              f"expected ({cfg.L}, {cfg.N}) or ({cfg.N},)")
+        if partition.n_zones != cfg.L:
+            raise ValueError(f"partition of {partition.n_zones} zones for L={cfg.L}: "
+                             f"expected {cfg.L}")
         if not np.array_equal(partition.intervals,
                               zone_intervals(cfg, partition.boundaries, partition.mapping)):
             raise ValueError(f"partition intervals are not those of its boundaries under "
@@ -118,8 +121,6 @@ class Codebook:
                        "M": cfg.solver_grid_size},
             "solver": None if solver_cfg is None else asdict(solver_cfg),
         }
-        digest = hashlib.sha256(repr(sorted(prov.items(), key=str)).encode())
-        prov["input_sha256"] = digest.hexdigest()
         return cls(weights=weights, partition=partition, provenance=prov)
 
 

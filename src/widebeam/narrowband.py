@@ -110,23 +110,20 @@ def sweep(cfg: SystemConfig, what: str, n_values, b_values,
 
     what selects the worst-case column: "narrowband" uses the closed form,
     "wideband" runs the full design pipeline per cell, "bound" leaves the
-    column empty.  The bound 2/delta_omega is recomputed per B only; it
-    does not depend on N.
+    column empty.  The bound is 2/delta_omega of the cell's partition.
     """
     if what not in ("narrowband", "wideband", "bound"):
         raise ValueError(f"unknown sweep kind {what!r}")
     rows = []
-    bound_cache: dict[float, float] = {}
     for n in n_values:
         for b in b_values:
             cell = replace(cfg, N=int(n), B=float(b))
-            if b not in bound_cache:
-                bound_cache[b] = prop3_upper_bound(divide_zones(cell))
+            bound = prop3_upper_bound(divide_zones(cell))
             if what == "narrowband":
                 worst = prop1_worst_case(cell).worst_case_gain
             elif what == "wideband":
                 worst = evaluate(cell, build_codebook(cell, solver_cfg)).worst_case
             else:
                 worst = None
-            rows.append((int(n), float(b) / 1e9, worst, bound_cache[b]))
+            rows.append((int(n), float(b) / 1e9, worst, bound))
     return rows

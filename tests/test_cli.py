@@ -1,19 +1,24 @@
 """Command-line flows, exit codes, and config parsing."""
 
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import widebeam
 from widebeam import SolverConfig, SystemConfig, cli
 from widebeam.cli import ConfigError, _parse_range, load_config, main
-from widebeam.storage import read_codebook
+from widebeam.storage import read_codebook, write_codebook
 
 from test_storage import oracle_codebook_json
 
@@ -246,7 +251,7 @@ class TestValidateFlow:
         lines = capsys.readouterr().out.splitlines()
         assert [l.split(":")[0] for l in lines] == [
             "prop1-grid-consistency", "prop2-argmax", "prop3-bound",
-            "shift-translation", "zero-band-zones",
+            "shift-translation",
         ]
         assert all(l.endswith(": pass") for l in lines)
 
@@ -357,6 +362,58 @@ class TestFailureModes:
         assert main([argv[0], small_config, *argv[1:]]) == 3
         err = capsys.readouterr().err
         assert err == "solver failure: window matrix is not positive definite\n"
+
+
+def run_main(argv):
+    """main(argv)'s exit code, stdout and stderr; a warning would reach
+    stderr outside the test run, so each one is appended to it."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue() + "".join(
+        f"{w.category.__name__}: {w.message}\n" for w in caught)
+
+
+SMALL_CONFIGS = st.builds(
+    lambda base, grid: {**base, **grid},
+    st.fixed_dictionaries({"n": st.integers(1, 8), "l": st.sampled_from([1, 2, 3, 7, 22]),
+                           "b_hz": st.sampled_from([0.0, 1e9, 10e9, 100e9, 270e9])}),
+    st.sampled_from([{}, {"n_freq": 2, "n_angle": 2}, {"m": 2}]))
+
+
+class TestContract:
+    @settings(max_examples=20, deadline=None)
+    @given(config=SMALL_CONFIGS, command=st.sampled_from(["design", "baseline"]))
+    @example(config={"l": 1024}, command="design")
+    @example(config={"b_hz": 270e9, "l": 22}, command="design")
+    @example(config={"n": 32, "l": 64, "rho1": math.nan}, command="design")
+    @example(config={"l": 1}, command="design")
+    @example(config={"n": 1, "l": 1}, command="design")
+    def test_small_configs_keep_the_cli_contract(self, config, command):
+        # exit 0, 1 or 3 and no traceback; a failure is one line on stderr,
+        # a success none, a file that rewrites to its own bytes, and an
+        # `eval` under the same config that prints the same worst case
+        with tempfile.TemporaryDirectory() as tmp:
+            cfgp, book, again = (os.path.join(tmp, name)
+                                 for name in ("config.json", "book.json", "again.json"))
+            with open(cfgp, "w", encoding="utf-8") as fh:
+                json.dump(config, fh)
+            code, out, err = run_main([command, cfgp, "--out", book])
+            assert code in (0, 1, 3), err
+            assert "Traceback" not in err
+            if code:
+                prefix = "error: " if code == 1 else "solver failure: "
+                assert len(err.splitlines()) == 1 and err.startswith(prefix), err
+                return
+            assert err == ""
+            write_codebook(again, read_codebook(book)[0])
+            assert Path(again).read_bytes() == Path(book).read_bytes()
+            # without --config the grid sizes would be the defaults
+            code, eval_out, err = run_main(["eval", book, "--config", cfgp])
+            assert (code, err) == (0, "")
+            assert stdout_line(eval_out, "worst_case") == stdout_line(out, "worst_case")
 
 
 def test_console_script_help(tmp_path):
