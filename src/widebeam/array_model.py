@@ -114,7 +114,8 @@ def phase_powers(n: int, u) -> np.ndarray:
     The design path, every shift book's rows (codebook.shift_rows) and
     gain_floor, behind the initializer's coverage check and the per-zone
     minima, build their steering tables here; steering_composite and
-    composite_gain keep one exp per entry.
+    composite_gain keep one exp per entry, and the general evaluation sweep
+    builds its own table with one exp per column (codebook._phase_table).
     """
     u = np.asarray(u, dtype=float)
     E = np.empty((n, u.size), dtype=complex)
@@ -157,11 +158,31 @@ def wideband_beam_gain(cfg: SystemConfig, phi: float, w: BeamVector) -> float:
 def dirichlet_power(u, n: int):
     """Squared Dirichlet kernel [sin(n*pi*u/2) / sin(pi*u/2)]^2.
 
-    Computed through np.sinc after wrapping u into (-1, 1], which keeps the
-    removable singularities finite: the value at u = 0 (mod 2) is exactly n^2.
-    This is the gain (times N) of a matched beam at composite offset u.
+    Computed as n*sinc(n*x/2)/sinc(x/2) after wrapping u into x in [-1, 1),
+    which keeps the removable singularities finite: the value at u = 0
+    (mod 2) is exactly n^2.  This is the gain (times N) of a matched beam
+    at composite offset u.  The floats are those of np.mod and np.sinc, bit
+    for bit, without their temporaries: np.mod(v, 2) is the exact remainder
+    v - 2*trunc(v/2), plus 2 where negative; each sinc is sin(y)/y at
+    y = pi*x/2 or pi*(n*x)/2 (the halving is exact), and y = eps where
+    x = 0, as np.sinc does, so that both sincs are exactly 1 there.
     """
     u = np.asarray(u, dtype=float)
-    uw = np.mod(u + 1.0, 2.0) - 1.0
-    return (n * np.sinc(n * uw / 2.0) / np.sinc(uw / 2.0)) ** 2
-
+    x = u + 1.0
+    x -= 2.0 * np.trunc(x / 2.0)
+    x += (x < 0.0) * 2.0
+    x -= 1.0
+    eps = (x == 0.0) * np.finfo(float).eps
+    num = x * n
+    num *= np.pi / 2.0
+    num += eps
+    x *= np.pi / 2.0
+    x += eps
+    out = np.sin(num)
+    out /= num
+    out *= n
+    den = np.sin(x)
+    den /= x
+    out /= den
+    out *= out
+    return out

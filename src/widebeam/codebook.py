@@ -28,7 +28,10 @@ takes the best.  Gains at or above GUARD_FLOOR are exact, and ties go to
 the lowest offset in the centred ring around the home beam; below
 GUARD_FLOOR a gain is a minimum some beam attains, at most the exact one.
 Any other codebook goes through the general sweep, which bounds every beam
-by its minimum over three probe frequencies and is exact.
+by its minimum over three probe frequencies and is exact.  Each of its angle
+blocks builds one phase table, with one exp per column, and sweeps each
+kept row over the full band once: the candidates' band minima, which set
+the keep level, are kept, and only the other kept rows are swept after.
 """
 
 from __future__ import annotations
@@ -453,18 +456,53 @@ def _matched_codebook_sweep(n: int, centers: np.ndarray, sines: np.ndarray,
     return best, (j0 + best_k) % L
 
 
+def _phase_table(n: int, u: np.ndarray) -> np.ndarray:
+    """E[k, m] = exp(-j*pi*k*u[m]) for k = 0..n-1 and a 1-D u, with one exp
+    per column.  Built by doubling as phase_powers is, E[h:2h] = E[:h] * z_h,
+    but z_h = exp(-j*pi*h*u) comes from squaring z_1 in place, not from an
+    exp of its own.  Each squaring doubles z's phase error, so row k's error
+    grows like k*eps, as phase_powers' does through its rounded argument
+    pi*h*u: about 7e-13 at n = 1024 and |u| <= 2 for either.  Only the
+    general sweep reads this table; phase_powers keeps the design path's
+    bits."""
+    E = np.empty((n, u.size), dtype=complex)
+    E[0] = 1.0
+    z = np.exp(-1j * np.pi * u)
+    h = 1
+    while h < n:
+        if h > 1:
+            np.multiply(z, z, out=z)
+        m = min(h, n - h)
+        np.multiply(E[:m], z, out=E[h:h + m])
+        h *= 2
+    return E
+
+
+def _band_min(weights: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """Band-minimum gain of each row of weights at each angle of an (n, F, A)
+    phase table: |.| of one product, its minimum over the F frequencies,
+    then the square, which is monotone, so the same bits as the minimum of
+    |.|^2."""
+    n, F, A = E.shape
+    field = np.abs(weights @ E.reshape(n, F * A))
+    return field.reshape(weights.shape[0], F, A).min(axis=1) ** 2
+
+
 def _general_sweep(weights: np.ndarray, sines: np.ndarray,
                    scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-angle max over beams of the band-minimum gain, for any codebook.
 
     The angle axis is cut into blocks of about SWEEP_CELLS / (F*max(L, N))
-    angles.  In each block, beam l's gain at any single frequency bounds
+    angles, each with its own phase table (_phase_table, one exp per
+    column).  In each block, beam l's gain at any single frequency bounds
     its band minimum from above, so the minimum over three probes (both
     band edges and the centre) is an upper bound U[l, a].  The beam with
-    the largest U at angle a is swept over the full band; its band minimum
-    lower[a] is a gain that some beam reaches.  Beam l is kept at a only
-    if U[l, a] >= lower[a] - PROBE_TOL*max(lower[a], 1), and only the rows
-    kept somewhere in the block are swept over the full band.
+    the largest U at angle a is its candidate; the candidates are swept
+    over the full band, and the candidate's band minimum lower[a] is a gain
+    that some beam reaches.  Beam l is kept at a only if
+    U[l, a] >= lower[a] - PROBE_TOL*max(lower[a], 1), and only the rows
+    kept somewhere in the block that are not candidates are then swept over
+    the full band: each kept row is swept once per block.
 
     This is exact: a dropped beam's band minimum is at most its U, which
     lies strictly below a band minimum another beam attains, so it can
@@ -490,32 +528,37 @@ def _general_sweep(weights: np.ndarray, sines: np.ndarray,
     probes = np.unique([0, F // 2, F - 1])
     gains = np.empty(sines.size)
     winner = np.empty(sines.size, dtype=int)
-    swept = 0
+    swept = candidates = others = 0
     block = max(1, int(SWEEP_CELLS / (F * max(L, n))))
     for a0 in range(0, sines.size, block):
         s = sines[a0:a0 + block]
         cols = np.arange(s.size)
-        E = phase_powers(n, np.multiply.outer(scale, s).ravel()).reshape(n, F, s.size)
+        E = _phase_table(n, np.multiply.outer(scale, s).ravel()).reshape(n, F, s.size)
         P = np.abs(weights @ E[:, probes].reshape(n, -1)) ** 2
         U = P.reshape(L, probes.size, s.size).min(axis=1)
         cand = U.argmax(axis=0)
-        picked, slot = np.unique(cand, return_inverse=True)
-        C = np.abs(weights[picked] @ E.reshape(n, -1)) ** 2
-        lower = C.reshape(picked.size, F, s.size).min(axis=1)[slot, cols]
+        picked = np.unique(cand)
+        G = np.empty((L, s.size))       # band minima; only swept rows are set
+        G[picked] = _band_min(weights[picked], E)
+        lower = G[cand, cols]
         keep = U >= lower - PROBE_TOL * np.maximum(lower, 1.0)
         keep[cand, cols] = True
         rows = np.flatnonzero(keep.any(axis=1))
-        G = np.abs(weights[rows] @ E.reshape(n, -1)) ** 2
-        G = G.reshape(rows.size, F, s.size).min(axis=1)
-        w = G.argmax(axis=0)
-        gains[a0:a0 + s.size] = G[w, cols]
+        rest = np.setdiff1d(rows, picked, assume_unique=True)
+        G[rest] = _band_min(weights[rest], E)
+        w = G[rows].argmax(axis=0)
+        gains[a0:a0 + s.size] = G[rows[w], cols]
         winner[a0:a0 + s.size] = rows[w]
         swept += rows.size * s.size
+        candidates += picked.size
+        others += rest.size
         # free this block's phase table before the next block builds its
         # own, so that peak memory holds one table, not two
         del E
     log.debug("general path (not a response-vector codebook): %d of %d "
-              "beam x angle pairs swept over the full band", swept, L * sines.size)
+              "beam x angle pairs swept over the full band, in %d row sweeps "
+              "(%d candidate rows, %d other kept rows)",
+              swept, L * sines.size, candidates + others, candidates, others)
     return gains, index[winner]
 
 

@@ -145,6 +145,43 @@ class TestDirichletPower:
         # u = 2 wraps onto the main peak, not a 0/0
         assert dirichlet_power(2.0, 7) == pytest.approx(49.0, abs=1e-9)
 
+    @staticmethod
+    def sinc_form(u, n):
+        # the kernel through np.mod and np.sinc, whose floats dirichlet_power keeps
+        uw = np.mod(np.asarray(u, dtype=float) + 1.0, 2.0) - 1.0
+        return (n * np.sinc(n * uw / 2.0) / np.sinc(uw / 2.0)) ** 2
+
+    EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+             1.0, -1.0, 2.0, -2.0, 3.0, -3.0, 1e300, -1e300, 1.7976931348623157e308,
+             -1.7976931348623157e308, 2.0 ** 53, -(2.0 ** 53) - 2.0]
+
+    @staticmethod
+    def near_integer(k, ulps):
+        # k moved by a few ulps either way: u + 1 lands next to an even
+        # integer for odd k, and u itself for even k
+        x = float(k)
+        for _ in range(abs(ulps)):
+            x = np.nextafter(x, np.sign(ulps) * np.inf)
+        return x
+
+    @settings(deadline=None, max_examples=200)
+    @given(n=st.integers(1, 4096),
+           u=st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                      | st.floats(-4.0, 4.0)
+                      | st.builds(near_integer.__func__, st.integers(-40, 40),
+                                  st.integers(-3, 3)),
+                      min_size=1, max_size=60))
+    @example(n=16, u=[np.nextafter(-1.0, 0.0), np.nextafter(-1.0, -2.0), np.nextafter(1.0, 2.0)])
+    def test_bit_equal_to_the_sinc_form(self, n, u):
+        u = np.array(u + self.EDGES)
+        assert dirichlet_power(u, n).tobytes() == self.sinc_form(u, n).tobytes()
+        grid = np.stack([u, -u])
+        assert dirichlet_power(grid, n).tobytes() == self.sinc_form(grid, n).tobytes()
+        for x in np.concatenate([u[:4], u[-6:]]):
+            got, want = dirichlet_power(x, n), self.sinc_form(x, n)
+            assert type(got) is type(want)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
 
 class TestGains:
     def test_matched_beam_peak_gain_is_n(self):

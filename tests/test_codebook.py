@@ -18,6 +18,7 @@ from widebeam import (
     prop1_worst_case,
     sweep,
 )
+from widebeam import codebook
 from widebeam.alm import SolverConfig, solve
 from widebeam.array_model import (BeamVector, composite_gain, dirichlet_power, gain_floor,
                                   phase_powers, steering_composite)
@@ -32,6 +33,7 @@ from widebeam.codebook import (
     _matched_codebook_sweep,
     _null_residue,
     _per_zone_worst,
+    _phase_table,
     _two_sample_bound,
     _windowed_min,
     shift_beam,
@@ -41,6 +43,10 @@ from widebeam.prv import prv_beam, prv_plan
 from widebeam.storage import read_codebook
 from widebeam.zones import (ZonePartition, divide_zones, prop3_upper_bound, virtual_interval,
                             zone_intervals)
+
+# the exp oracle with the phase reduced exactly; aliased, so that pytest does
+# not collect the class a second time here
+from test_array_model import TestPhasePowers as PhasePowersOracle
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -611,6 +617,104 @@ class TestGeneralSweepExactness:
         clear = top2[1] - top2[0] > 1e-10 * top2[1]
         assert clear.mean() > 0.9
         assert np.array_equal(winner[clear], G.argmax(axis=0)[clear])
+
+
+class TestSweepPhaseTable:
+    """The general sweep's phase table: one exp per column, doubling rows
+    squared in place."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(n=st.integers(1, 1024),
+           u=st.lists(st.floats(-2, 2), min_size=1, max_size=40))
+    @example(n=1024, u=list(np.linspace(-2, 2, 101)))
+    @example(n=513, u=[1.0 - 2.0 ** -52, -2.0 ** -1074])
+    def test_matches_exp(self, n, u):
+        u = np.array(u + [-2.0, 2.0, -1.0, 1.0, 0.0])
+        E = _phase_table(n, u)
+        assert E.shape == (n, u.size)
+        assert np.array_equal(E[0], np.ones(u.size))
+        assert np.abs(E - PhasePowersOracle.reference(n, u)).max() <= 1e-12
+
+    def test_calls_exp_once_per_column(self, monkeypatch):
+        sizes = []
+        real_exp = np.exp
+
+        def counting_exp(x, *args, **kwargs):
+            sizes.append(np.size(x))
+            return real_exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(codebook.np, "exp", counting_exp)
+        u = np.linspace(-2, 2, 77)
+        E = _phase_table(300, u)
+        monkeypatch.undo()
+        assert sizes == [u.size]
+        assert np.abs(E - PhasePowersOracle.reference(300, u)).max() <= 1e-12
+
+
+class TestGeneralSweepSweepsEachRowOnce:
+    """Within an angle block, each kept row is swept over the full band in
+    one product: the candidates' band minima from the `lower` product are
+    kept, and only the other kept rows are swept after it."""
+
+    def sweep_calls(self, monkeypatch, caplog, weights, sines, scale):
+        calls = []
+        real = codebook._band_min
+
+        def recording(w, E):
+            calls.append((E, [row.tobytes() for row in w]))
+            return real(w, E)
+
+        monkeypatch.setattr(codebook, "_band_min", recording)
+        with caplog.at_level(logging.DEBUG, logger="widebeam.codebook"):
+            out = _general_sweep(weights, sines, scale)
+        (rec,) = [r for r in caplog.records if r.name == "widebeam.codebook"]
+        return out, calls, rec.getMessage()
+
+    @pytest.mark.parametrize("kind", ["designed", "random", "duplicated", "negated"])
+    def test_no_row_is_swept_twice_in_a_block(self, kind, monkeypatch, caplog, cfg16):
+        rng = np.random.default_rng(11)
+        if kind == "designed":
+            weights = build_codebook(cfg16).weights
+        elif kind == "negated":
+            # -w has w's gains bit for bit, so it ties its twin's bound and
+            # is kept, but loses the candidate pick to the lower index
+            w = random_book("random", 16, 16, rng)
+            weights = np.concatenate([w, -w])
+        else:
+            weights = random_book(kind, 16, 32, rng)
+        sines = np.sort(np.concatenate([rng.uniform(-1, 1, 700), [-1.0, 1.0]]))
+        scale = 1.0 + cfg16.frequency_grid() / cfg16.f_c
+        (gains, winner), calls, msg = self.sweep_calls(monkeypatch, caplog, weights, sines,
+                                                       scale)
+        tables = []
+        for E, rows in calls:
+            if not tables or tables[-1][0] is not E:
+                tables.append((E, []))
+            tables[-1][1].extend(rows)
+        n_rows = len({row.tobytes() for row in weights})
+        block = max(1, int(codebook.SWEEP_CELLS / (scale.size * max(n_rows, 16))))
+        # two products per block at most, the candidates then the rest, on
+        # one phase table
+        assert len(tables) == -(-sines.size // block) > 1
+        assert len(calls) <= 2 * len(tables)
+        assert [E.shape[2] for E, _ in tables[:-1]] == [block] * (len(tables) - 1)
+        assert sum(E.shape[2] for E, _ in tables) == sines.size
+        swept = 0
+        for E, rows in tables:
+            assert len(rows) == len(set(rows))
+            swept += len(rows)
+        # the record counts the same row sweeps, split into candidates and
+        # the other kept rows
+        counts = re.search(r"in (\d+) row sweeps \((\d+) candidate rows, (\d+) other kept "
+                           r"rows\)$", msg)
+        total, candidates, others = map(int, counts.groups())
+        assert total == swept == candidates + others
+        assert candidates >= len(tables)
+        if kind == "negated":
+            assert others >= candidates
+        # and the result is still that of every beam
+        G = all_beams_band_minima(weights, sines, scale)
+        assert gains == pytest.approx(G.max(axis=0), rel=1e-10, abs=1e-12)
 
 
 class TestPerZoneWorst:

@@ -781,7 +781,9 @@ class TestAssembledBooks:
 
 class TestVersion1Fixtures:
     """Files written by the version 1 writer (`widebeam design` and
-    `widebeam baseline` at N=8, L=16, B=10 GHz) and their `eval --csv`."""
+    `widebeam baseline` at N=8, L=16, B=10 GHz) and the golden `eval --csv`
+    of each.  The designed one was re-pinned once, when the general sweep's
+    phase table changed; the narrowband one is as the version 1 code wrote it."""
 
     CFG = SystemConfig(f_c=140e9, B=10e9, N=8, L=16)
 
