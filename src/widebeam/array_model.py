@@ -4,6 +4,13 @@ Everything downstream works in the frequency-spatial composite variable
 u = (1 + f/f_c) * sin(phi), in which the array response of a half-wavelength
 ULA is a pure geometric phase progression exp(j*pi*(n-1)*u).  Beam gains are
 powers |h^H w|^2 and live in [0, N] for constant-modulus weights.
+
+Two table builders, one per path.  phase_powers builds the design path's
+steering tables (the solver's grid, a shift book's rows), whose bits the
+designed files pin.  phase_table and least_gain are the one evaluation
+kernel: the least gain of each beam over each set of composite points.
+The general sweep calls them directly, and gain_floor is their window
+call, behind the initializer's coverage check and the per-zone minima.
 """
 
 from __future__ import annotations
@@ -111,11 +118,10 @@ def phase_powers(n: int, u) -> np.ndarray:
     product E[h:2h] = E[:h] * exp(-j*pi*h*u).  Row k is then a product of
     popcount(k) exponentials, so the rounding error grows with log2(n),
     not with n as it would along the plain recurrence E[k] = E[k-1]*E[1].
-    The design path, every shift book's rows (codebook.shift_rows) and
-    gain_floor, behind the initializer's coverage check and the per-zone
-    minima, build their steering tables here; steering_composite and
-    composite_gain keep one exp per entry, and the general evaluation sweep
-    builds its own table with one exp per column (codebook._phase_table).
+    It serves the design path only: the solver's grid (alm.build_grid) and
+    every shift book's rows (codebook.shift_rows), whose bits the designed
+    files pin.  Evaluation reads phase_table instead; steering_composite
+    and composite_gain keep one exp per entry.
     """
     u = np.asarray(u, dtype=float)
     E = np.empty((n, u.size), dtype=complex)
@@ -128,12 +134,46 @@ def phase_powers(n: int, u) -> np.ndarray:
     return E
 
 
+def phase_table(n: int, u: np.ndarray) -> np.ndarray:
+    """E[k, m] = exp(-j*pi*k*u[m]) for k = 0..n-1 and a 1-D u, with one exp
+    per column: the evaluation kernel's table.  Built by doubling as
+    phase_powers is, E[h:2h] = E[:h] * z_h, but z_h = exp(-j*pi*h*u) comes
+    from squaring z_1 in place, not from an exp of its own.  Each squaring
+    doubles z's phase error, so row k's error grows like k*eps, as
+    phase_powers' does through its rounded argument pi*h*u: about 7e-13 at
+    n = 1024 and |u| <= 2 for either."""
+    E = np.empty((n, u.size), dtype=complex)
+    E[0] = 1.0
+    z = np.exp(-1j * np.pi * u)
+    h = 1
+    while h < n:
+        if h > 1:
+            np.multiply(z, z, out=z)
+        m = min(h, n - h)
+        np.multiply(E[:m], z, out=E[h:h + m])
+        h *= 2
+    return E
+
+
+def least_gain(weights: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """Least gain of each row of weights over each of the A sets of F
+    points of an (n, F, A) phase_table, F frequencies at A angles or one
+    window's samples: |.| of one product, its minimum over the F points,
+    then the square, which is monotone, so the same bits as the minimum of
+    |.|^2.  Shape (rows, A)."""
+    n, F, A = E.shape
+    field = np.abs(weights @ E.reshape(n, F * A))
+    return field.reshape(weights.shape[0], F, A).min(axis=1) ** 2
+
+
 def gain_floor(w: np.ndarray, lo: float, hi: float, samples: int) -> float:
-    """Least gain |h(u)^H w|^2 over `samples` uniform points spanning [lo, hi],
-    through one phase_powers table, whose rounding differs from
-    composite_gain's per-entry exp only in the last bits."""
+    """Least gain |h(u)^H w|^2 over `samples` uniform points spanning [lo, hi]:
+    one window of the evaluation kernel (phase_table, least_gain), whose
+    rounding differs from composite_gain's per-entry exp only in the last
+    bits.  The initializer's coverage check and the per-zone minima read
+    it."""
     u = np.linspace(lo, hi, samples)
-    return float((np.abs(w @ phase_powers(w.size, u)) ** 2).min())
+    return float(least_gain(w[None], phase_table(w.size, u)[:, :, None])[0, 0])
 
 
 def composite_gain(weights: np.ndarray, u) -> np.ndarray:
@@ -161,11 +201,18 @@ def dirichlet_power(u, n: int):
     Computed as n*sinc(n*x/2)/sinc(x/2) after wrapping u into x in [-1, 1),
     which keeps the removable singularities finite: the value at u = 0
     (mod 2) is exactly n^2.  This is the gain (times N) of a matched beam
-    at composite offset u.  The floats are those of np.mod and np.sinc, bit
-    for bit, without their temporaries: np.mod(v, 2) is the exact remainder
-    v - 2*trunc(v/2), plus 2 where negative; each sinc is sin(y)/y at
-    y = pi*x/2 or pi*(n*x)/2 (the halving is exact), and y = eps where
-    x = 0, as np.sinc does, so that both sincs are exactly 1 there.
+    at composite offset u.
+
+    The contract, bit for bit and for a scalar u and an array alike (a
+    scalar gives a numpy float64): with x = np.mod(u + 1, 2) - 1 and
+    r = n * np.sinc(n*x/2) / np.sinc(x/2), the value is r * r.  The floats
+    are those of np.mod and np.sinc, computed without their temporaries:
+    np.mod(v, 2) is the exact remainder v - 2*trunc(v/2), plus 2 where
+    negative; each sinc is sin(y)/y at y = pi*x/2 or pi*(n*x)/2 (the
+    halving is exact), and y = eps where x = 0, as np.sinc does, so that
+    both sincs are exactly 1 there.  The final square is a multiplication,
+    not r ** 2, which on a numpy scalar goes through pow and can differ in
+    the last bit.
     """
     u = np.asarray(u, dtype=float)
     x = u + 1.0

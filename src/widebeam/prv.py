@@ -75,8 +75,8 @@ def prv_beam(plan: PrvPlan) -> BeamVector:
     that algebra, the beam pattern is checked right here: the gain must
     exceed COVERAGE_FLOOR over the whole window the plan was built for, so
     a null computed to rounding (a gain near 1e-30) is a null.  The check
-    reads the gain on COVERAGE_GRID points through a doubled steering table
-    (array_model.gain_floor), the helper behind the per-zone minima too.
+    reads the gain on COVERAGE_GRID points through the evaluation kernel's
+    window call (array_model.gain_floor), behind the per-zone minima too.
     """
     k = np.arange(plan.N_s)
     blocks = [

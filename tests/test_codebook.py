@@ -2,6 +2,7 @@
 
 import logging
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from widebeam import (
     prop1_worst_case,
     sweep,
 )
-from widebeam import codebook
+from widebeam import array_model, codebook
 from widebeam.alm import SolverConfig, solve
 from widebeam.array_model import (BeamVector, composite_gain, dirichlet_power, gain_floor,
                                   phase_powers, steering_composite)
@@ -33,7 +34,6 @@ from widebeam.codebook import (
     _matched_codebook_sweep,
     _null_residue,
     _per_zone_worst,
-    _phase_table,
     _two_sample_bound,
     _windowed_min,
     shift_beam,
@@ -43,10 +43,6 @@ from widebeam.prv import prv_beam, prv_plan
 from widebeam.storage import read_codebook
 from widebeam.zones import (ZonePartition, divide_zones, prop3_upper_bound, virtual_interval,
                             zone_intervals)
-
-# the exp oracle with the phase reduced exactly; aliased, so that pytest does
-# not collect the class a second time here
-from test_array_model import TestPhasePowers as PhasePowersOracle
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -619,52 +615,23 @@ class TestGeneralSweepExactness:
         assert np.array_equal(winner[clear], G.argmax(axis=0)[clear])
 
 
-class TestSweepPhaseTable:
-    """The general sweep's phase table: one exp per column, doubling rows
-    squared in place."""
-
-    @settings(deadline=None, max_examples=60)
-    @given(n=st.integers(1, 1024),
-           u=st.lists(st.floats(-2, 2), min_size=1, max_size=40))
-    @example(n=1024, u=list(np.linspace(-2, 2, 101)))
-    @example(n=513, u=[1.0 - 2.0 ** -52, -2.0 ** -1074])
-    def test_matches_exp(self, n, u):
-        u = np.array(u + [-2.0, 2.0, -1.0, 1.0, 0.0])
-        E = _phase_table(n, u)
-        assert E.shape == (n, u.size)
-        assert np.array_equal(E[0], np.ones(u.size))
-        assert np.abs(E - PhasePowersOracle.reference(n, u)).max() <= 1e-12
-
-    def test_calls_exp_once_per_column(self, monkeypatch):
-        sizes = []
-        real_exp = np.exp
-
-        def counting_exp(x, *args, **kwargs):
-            sizes.append(np.size(x))
-            return real_exp(x, *args, **kwargs)
-
-        monkeypatch.setattr(codebook.np, "exp", counting_exp)
-        u = np.linspace(-2, 2, 77)
-        E = _phase_table(300, u)
-        monkeypatch.undo()
-        assert sizes == [u.size]
-        assert np.abs(E - PhasePowersOracle.reference(300, u)).max() <= 1e-12
-
-
 class TestGeneralSweepSweepsEachRowOnce:
     """Within an angle block, each kept row is swept over the full band in
     one product: the candidates' band minima from the `lower` product are
     kept, and only the other kept rows are swept after it."""
 
     def sweep_calls(self, monkeypatch, caplog, weights, sines, scale):
+        # the probe bound goes through the same reduction, on a table of
+        # three frequencies: only full-band products are recorded
         calls = []
-        real = codebook._band_min
+        real = codebook.least_gain
 
         def recording(w, E):
-            calls.append((E, [row.tobytes() for row in w]))
+            if E.shape[1] == scale.size:
+                calls.append((E, [row.tobytes() for row in w]))
             return real(w, E)
 
-        monkeypatch.setattr(codebook, "_band_min", recording)
+        monkeypatch.setattr(codebook, "least_gain", recording)
         with caplog.at_level(logging.DEBUG, logger="widebeam.codebook"):
             out = _general_sweep(weights, sines, scale)
         (rec,) = [r for r in caplog.records if r.name == "widebeam.codebook"]
@@ -715,6 +682,58 @@ class TestGeneralSweepSweepsEachRowOnce:
         # and the result is still that of every beam
         G = all_beams_band_minima(weights, sines, scale)
         assert gains == pytest.approx(G.max(axis=0), rel=1e-10, abs=1e-12)
+
+
+class TestTablePathsStayApart:
+    """phase_powers builds the design path's tables and phase_table the
+    evaluation kernel's: neither path calls the other's builder, so a
+    change to the evaluation kernel cannot move a designed file."""
+
+    @staticmethod
+    def counted(monkeypatch, name):
+        """Calls of array_model's `name`, through every widebeam module that
+        binds it; one entry per call, its table's row count."""
+        calls = []
+        real = getattr(array_model, name)
+
+        def counting(n, u):
+            calls.append(n)
+            return real(n, u)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "widebeam" and getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counting)
+        return calls
+
+    def test_design_path_builds_no_evaluation_table(self, monkeypatch):
+        cfg = SystemConfig(f_c=140e9, B=10e9, N=32, L=64)
+        partition = divide_zones(cfg)
+        init = prv_beam(prv_plan(cfg.N, partition.delta_omega))
+        tables = self.counted(monkeypatch, "phase_table")
+        powers = self.counted(monkeypatch, "phase_powers")
+        prototype, _ = solve(cfg, SolverConfig(), partition.delta_omega, init)
+        centers = partition.centers()
+        shift_rows(shift_beam(prototype, centers[0]).weights, centers)
+        assert tables == []
+        assert powers == [cfg.N, cfg.N]
+
+    @pytest.mark.parametrize("kind", ["designed", "narrowband", "random"])
+    def test_evaluation_builds_no_design_table(self, kind, monkeypatch, cfg16):
+        if kind == "designed":
+            book = build_codebook(cfg16)
+        elif kind == "narrowband":
+            book = narrowband_codebook(cfg16)
+        else:
+            weights = random_book("random", cfg16.N, cfg16.L, np.random.default_rng(5))
+            book = Codebook.assemble(weights, divide_zones(cfg16), cfg16, None, kind="random")
+        tables = self.counted(monkeypatch, "phase_table")
+        powers = self.counted(monkeypatch, "phase_powers")
+        report = evaluate(cfg16, book)
+        assert powers == []
+        # the general sweep and the per-zone minima read the evaluation
+        # kernel; the matched path reads Dirichlet lookups only
+        assert (len(tables) > 0) == (kind != "narrowband")
+        assert report.per_zone.size == cfg16.L
 
 
 class TestPerZoneWorst:
