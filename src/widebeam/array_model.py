@@ -7,10 +7,15 @@ powers |h^H w|^2 and live in [0, N] for constant-modulus weights.
 
 Two table builders, one per path.  phase_powers builds the design path's
 steering tables (the solver's grid, a shift book's rows), whose bits the
-designed files pin.  phase_table and least_gain are the one evaluation
-kernel: the least gain of each beam over each set of composite points.
-The general sweep calls them directly, and gain_floor is their window
-call, behind the initializer's coverage check and the per-zone minima.
+designed files pin.  phase_table, pair_coefficients and least_gain are the
+one evaluation kernel: the least gain of each beam over each set of
+composite points.  It pairs element k with n-1-k, so that any beam's field
+is, up to a unit phase, its real coefficient rows times one real table of
+cos and sin rows, and takes every gain from one real GEMM at half the
+multiply-adds of a complex one.  The general sweep calls them directly,
+writing every block's table into one pair of table_buffers, and
+gain_floor is their window call, behind the initializer's coverage check
+and the per-zone minima.
 """
 
 from __future__ import annotations
@@ -134,46 +139,125 @@ def phase_powers(n: int, u) -> np.ndarray:
     return E
 
 
-def phase_table(n: int, u: np.ndarray) -> np.ndarray:
-    """E[k, m] = exp(-j*pi*k*u[m]) for k = 0..n-1 and a 1-D u, with one exp
-    per column: the evaluation kernel's table.  Built by doubling as
-    phase_powers is, E[h:2h] = E[:h] * z_h, but z_h = exp(-j*pi*h*u) comes
-    from squaring z_1 in place, not from an exp of its own.  Each squaring
-    doubles z's phase error, so row k's error grows like k*eps, as
-    phase_powers' does through its rounded argument pi*h*u: about 7e-13 at
-    n = 1024 and |u| <= 2 for either."""
-    E = np.empty((n, u.size), dtype=complex)
-    E[0] = 1.0
-    z = np.exp(-1j * np.pi * u)
-    h = 1
-    while h < n:
-        if h > 1:
-            np.multiply(z, z, out=z)
-        m = min(h, n - h)
-        np.multiply(E[:m], z, out=E[h:h + m])
-        h *= 2
-    return E
+def _base_rows(h: int) -> int:
+    """R, the largest power of two with R*R <= h: the rows of phase_table's
+    base block, so that the block and each product of it stay in cache
+    while there are about as many blocks as rows in one."""
+    r = 1
+    while 4 * r * r <= h:
+        r *= 2
+    return r
 
 
-def least_gain(weights: np.ndarray, E: np.ndarray) -> np.ndarray:
-    """Least gain of each row of weights over each of the A sets of F
-    points of an (n, F, A) phase_table, F frequencies at A angles or one
-    window's samples: |.| of one product, its minimum over the F points,
-    then the square, which is monotone, so the same bits as the minimum of
-    |.|^2.  Shape (rows, A)."""
-    n, F, A = E.shape
-    field = np.abs(weights @ E.reshape(n, F * A))
-    return field.reshape(weights.shape[0], F, A).min(axis=1) ** 2
+def table_buffers(n: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """A real (n, cols) table and the complex work rows phase_table builds
+    it in, as views of one new buffer, so that a gain_floor call makes one
+    allocation.  A sweep allocates them once and passes column slices to
+    every block."""
+    r = _base_rows((n + 1) // 2)
+    rows = min(2 * r, (n + 1) // 2)
+    buf = np.empty((n + 2 * rows, cols))
+    return buf[:n], buf[n:].reshape(rows, 2 * cols).view(complex)
+
+
+def phase_table(n: int, u: np.ndarray, out: np.ndarray | None = None,
+                work: np.ndarray | None = None) -> np.ndarray:
+    """The evaluation kernel's real (n, u.size) table T: the rows
+    cos(pi*m*u) for m = 1/2, 3/2, ... up to (n-1)/2 (even n) or m = 0, 1,
+    ... up to (n-1)/2 (odd n), then the rows sin(pi*m*u) for the same m,
+    m = 0 left out.  These are the centred offsets m = k' - (n-1)/2 of the
+    elements k' paired with k = n-1-k', so pair_coefficients(w) @ T gives
+    every row's field up to a unit phase.
+
+    The ceil(n/2) complex rows H[i] = exp(-j*pi*m_i*u) come from one exp
+    per column.  H[0] is 1 (odd n) or exp(-j*pi*u/2) (even n), and
+    z = exp(-j*pi*u) or H[0]*H[0].  The first R rows, R = _base_rows, are
+    the base block, built by doubling, H[k:2k] = H[:k] * z^k with z^k from
+    squaring z in place; every later R rows are the base block times
+    z^(aR), a = 1, 2, ..., each factor the last one times z^R.  Each block
+    of H is split into T's cos and sin rows as soon as it is made, in a
+    work buffer of 2R rows that stays in cache, so H is never held whole.
+    Row i's phase error grows like m_i*eps: about 3e-13 at n = 1024 and
+    |u| <= 2, against 5e-13 for a table over k = 0..n-1, whose largest
+    offset is twice as large.  `out` and `work`, given together, are
+    table_buffers' two views (or column slices of them) to write into;
+    without them both are allocated here.
+    """
+    h = (n + 1) // 2
+    if out is None:
+        out, work = table_buffers(n, u.size)
+    r = _base_rows(h)
+    B = work[:r]
+    if n % 2:
+        B[0] = 1.0
+        z = np.exp(-1j * np.pi * u)
+    else:
+        np.exp(-0.5j * np.pi * u, out=B[0])
+        z = B[0] * B[0]
+    k = 1
+    while k < r:
+        np.multiply(B[:k], z, out=B[k:2 * k])
+        np.multiply(z, z, out=z)
+        k *= 2
+    # z is now z^r.  sin[i] is H[i]'s sine row, for i >= 1 and, at even n,
+    # i = 0 too: odd n's m = 0 has no sine row
+    sin = out[h - n % 2:]
+    out[:r] = B.real
+    np.negative(B[n % 2:].imag, out=sin[n % 2:r])
+    factor = z.copy()
+    for i in range(r, h, r):
+        m = min(r, h - i)
+        C = np.multiply(B[:m], factor, out=work[r:r + m])
+        out[i:i + m] = C.real
+        np.negative(C.imag, out=sin[i:i + m])
+        np.multiply(factor, z, out=factor)
+    return out
+
+
+def pair_coefficients(weights: np.ndarray) -> np.ndarray:
+    """The real (rows, 2, n) coefficient block of an (rows, n) block of
+    weights against phase_table's rows: Re and Im of P_m = w_k + w_k' over
+    the cos rows, then of Q_m = j*(w_k - w_k') over the sin rows, for each
+    pair k < k' = n-1-k with offset m = k' - (n-1)/2; odd n's middle
+    element is P_0 alone.  Any book, not only a symmetric one: row l's
+    field at u is (coef[l, 0] @ T) + j*(coef[l, 1] @ T) times a unit phase.
+    """
+    rows, n = weights.shape
+    h = (n + 1) // 2
+    upper, lower = weights[:, n // 2:], weights[:, h - 1::-1]
+    P = upper + lower
+    if n % 2:
+        P[:, 0] = upper[:, 0]
+    d = (lower - upper)[:, n % 2:]
+    coef = np.empty((rows, 2, n))
+    coef[:, 0, :h], coef[:, 1, :h] = P.real, P.imag
+    coef[:, 0, h:], coef[:, 1, h:] = -d.imag, d.real
+    return coef
+
+
+def least_gain(coef: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """Least gain of each row of a pair_coefficients block over each of the
+    A sets of F points of an (n, F, A) phase_table, F frequencies at A
+    angles or one window's samples: one real product X = coef @ T, the
+    gains X_re^2 + X_im^2, and their minimum over the F points.
+    Shape (rows, A)."""
+    n, F, A = T.shape
+    X = coef.reshape(-1, n) @ T.reshape(n, F * A)
+    np.square(X, out=X)
+    X = X.reshape(coef.shape[0], 2, F, A)
+    # the gains overwrite X_re^2, so the product is the one large array
+    return np.add(X[:, 0], X[:, 1], out=X[:, 0]).min(axis=1)
 
 
 def gain_floor(w: np.ndarray, lo: float, hi: float, samples: int) -> float:
     """Least gain |h(u)^H w|^2 over `samples` uniform points spanning [lo, hi]:
-    one window of the evaluation kernel (phase_table, least_gain), whose
-    rounding differs from composite_gain's per-entry exp only in the last
-    bits.  The initializer's coverage check and the per-zone minima read
-    it."""
+    one window of the evaluation kernel (phase_table, pair_coefficients,
+    least_gain), whose rounding differs from composite_gain's per-entry exp
+    only in the last bits.  The initializer's coverage check and the
+    per-zone minima read it."""
     u = np.linspace(lo, hi, samples)
-    return float(least_gain(w[None], phase_table(w.size, u)[:, :, None])[0, 0])
+    T = phase_table(w.size, u)[:, :, None]
+    return float(least_gain(pair_coefficients(w[None]), T)[0, 0])
 
 
 def composite_gain(weights: np.ndarray, u) -> np.ndarray:

@@ -12,10 +12,10 @@ Given a whole block, a book decides once whether every row is row 0
 shifted to its zone's center.  Evaluation sweeps angle x frequency grids.
 This module builds no steering table and takes no least gain of its own:
 the general sweep and the per-zone minima read array_model's evaluation
-kernel (phase_table, least_gain, and gain_floor, its window call), and
-phase_powers serves only the design path, here shift_rows.  A shift
-book's per-zone minima read row 0 alone, over each zone's window moved
-back to zone 0, one gain_floor per distinct window.
+kernel (phase_table, pair_coefficients, least_gain, and gain_floor, its
+window call), and phase_powers serves only the design path, here
+shift_rows.  A shift book's per-zone minima read row 0 alone, over each
+zone's window moved back to zone 0, one gain_floor per distinct window.
 Both sweep paths prune by one rule: a beam's gain at any one frequency
 bounds its band minimum from above, so a beam whose bound falls below a
 band minimum that another beam attains can neither win nor tie, and is
@@ -32,10 +32,12 @@ takes the best.  Gains at or above GUARD_FLOOR are exact, and ties go to
 the lowest offset in the centred ring around the home beam; below
 GUARD_FLOOR a gain is a minimum some beam attains, at most the exact one.
 Any other codebook goes through the general sweep, which bounds every beam
-by its minimum over three probe frequencies and is exact.  Each of its angle
-blocks builds one phase_table, with one exp per column, and sweeps each
-kept row over the full band once: the candidates' band minima, which set
-the keep level, are kept, and only the other kept rows are swept after.
+by its minimum over three probe frequencies and is exact.  It builds the
+book's real coefficient block once, and each of its angle blocks writes
+one real phase_table, with one exp per column, into one buffer kept for
+the whole sweep.  Each block sweeps each kept row over the full band
+once: the candidates' band minima, which set the keep level, are kept,
+and only the other kept rows are swept after.
 """
 
 from __future__ import annotations
@@ -47,8 +49,8 @@ import numpy as np
 
 from . import alm
 from .array_model import (MODULUS_TOL, BeamVector, SystemConfig, check_modulus,
-                          dirichlet_power, gain_floor, least_gain, phase_powers,
-                          phase_table, steering_composite)
+                          dirichlet_power, gain_floor, least_gain, pair_coefficients,
+                          phase_powers, phase_table, steering_composite, table_buffers)
 from .prv import prv_beam, prv_plan
 from .zones import (ZonePartition, divide_zones, sine_boundaries, sine_centers,
                     zone_intervals)
@@ -465,9 +467,14 @@ def _general_sweep(weights: np.ndarray, sines: np.ndarray,
                    scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-angle max over beams of the band-minimum gain, for any codebook.
 
-    The angle axis is cut into blocks of about SWEEP_CELLS / (F*max(L, N))
-    angles, each with its own phase_table, and every gain below is a
-    least_gain over that table.  In each block, beam l's gain at any single
+    The book's pair_coefficients block is built once, and the angle axis
+    is cut into blocks of about SWEEP_CELLS / (F*max(L, N)) angles.  Each
+    block writes its phase_table into the same table_buffers, the real
+    table and its complex work rows, allocated once per sweep (the last
+    block writes a column slice of them): a table of a few MB allocated per
+    block would be faulted in page by page every time.  Every gain below is
+    a least_gain of rows of the coefficient block over that table, one real
+    GEMM per call.  In each block, beam l's gain at any single
     frequency bounds its band minimum from above, so the minimum over three
     probes (both band edges and the centre) is an upper bound U[l, a].  The
     beam with the largest U at angle a is its candidate; the candidates are
@@ -498,35 +505,37 @@ def _general_sweep(weights: np.ndarray, sines: np.ndarray,
         weights = weights[index]
     L, n = weights.shape
     F = scale.size
+    coef = pair_coefficients(weights)
     probes = np.unique([0, F // 2, F - 1])
     gains = np.empty(sines.size)
     winner = np.empty(sines.size, dtype=int)
     swept = candidates = others = 0
     block = max(1, int(SWEEP_CELLS / (F * max(L, n))))
+    width = F * min(block, sines.size)
+    table, work = table_buffers(n, width)
     for a0 in range(0, sines.size, block):
         s = sines[a0:a0 + block]
         cols = np.arange(s.size)
-        E = phase_table(n, np.multiply.outer(scale, s).ravel()).reshape(n, F, s.size)
-        U = least_gain(weights, E[:, probes])
+        c = F * s.size
+        E = phase_table(n, np.multiply.outer(scale, s).ravel(), table[:, :c],
+                        work[:, :c]).reshape(n, F, s.size)
+        U = least_gain(coef, E[:, probes])
         cand = U.argmax(axis=0)
         picked = np.unique(cand)
         G = np.empty((L, s.size))       # band minima; only swept rows are set
-        G[picked] = least_gain(weights[picked], E)
+        G[picked] = least_gain(coef[picked], E)
         lower = G[cand, cols]
         keep = U >= lower - PROBE_TOL * np.maximum(lower, 1.0)
         keep[cand, cols] = True
         rows = np.flatnonzero(keep.any(axis=1))
         rest = np.setdiff1d(rows, picked, assume_unique=True)
-        G[rest] = least_gain(weights[rest], E)
+        G[rest] = least_gain(coef[rest], E)
         w = G[rows].argmax(axis=0)
         gains[a0:a0 + s.size] = G[rows[w], cols]
         winner[a0:a0 + s.size] = rows[w]
         swept += rows.size * s.size
         candidates += picked.size
         others += rest.size
-        # free this block's phase table before the next block builds its
-        # own, so that peak memory holds one table, not two
-        del E
     log.debug("general path (not a response-vector codebook): %d of %d "
               "beam x angle pairs swept over the full band, in %d row sweeps "
               "(%d candidate rows, %d other kept rows)",

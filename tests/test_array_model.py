@@ -1,5 +1,7 @@
 """Core types, steering, and the Dirichlet gain kernel."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,9 +13,12 @@ from widebeam.array_model import (
     SystemConfig,
     composite_gain,
     dirichlet_power,
+    least_gain,
+    pair_coefficients,
     phase_powers,
     phase_table,
     steering_composite,
+    table_buffers,
     wideband_beam_gain,
 )
 
@@ -127,20 +132,69 @@ class TestPhasePowers:
 
 
 class TestPhaseTable:
-    """The evaluation kernel's phase table: one exp per column, doubling rows
-    squared in place."""
+    """The evaluation kernel's real table: cos(pi*m*u) rows, then sin rows,
+    over the centred offsets m of mirrored element pairs, built from
+    ceil(n/2) complex rows with one exp per column: a base block by
+    doubling, then the block times powers of z^R."""
+
+    @staticmethod
+    def oracle(n, u):
+        # cos and sin in extended precision, of the phase pi*m*u with the
+        # double pi every table is built from; m*u is exact in a long double
+        m = np.arange((n + 1) // 2, dtype=np.longdouble) + (0.5 if n % 2 == 0 else 0.0)
+        phase = np.multiply.outer(m, np.asarray(u, dtype=np.longdouble)) * np.longdouble(np.pi)
+        return np.concatenate([np.cos(phase), np.sin(phase)[n % 2:]])
+
+    @staticmethod
+    def bound(n):
+        # row i's error grows like its offset m_i <= (n-1)/2; never looser
+        # than the 1e-12 the complex table over k = 0..n-1 was held to
+        return min(1e-15 * n, 1e-12)
 
     @settings(deadline=None, max_examples=60)
     @given(n=st.integers(1, 1024),
            u=st.lists(st.floats(-2, 2), min_size=1, max_size=40))
     @example(n=1024, u=list(np.linspace(-2, 2, 101)))
+    @example(n=1023, u=list(np.linspace(-2, 2, 101)))
     @example(n=513, u=[1.0 - 2.0 ** -52, -2.0 ** -1074])
+    @example(n=1, u=[0.5])
+    @example(n=2, u=[0.5])
+    @example(n=3, u=[0.5])
     def test_matches_exp(self, n, u):
         u = np.array(u + [-2.0, 2.0, -1.0, 1.0, 0.0])
         E = phase_table(n, u)
         assert E.shape == (n, u.size)
-        assert np.array_equal(E[0], np.ones(u.size))
-        assert np.abs(E - TestPhasePowers.reference(n, u)).max() <= 1e-12
+        if n % 2:
+            # m = 0: a cos row of exact ones, and no sin row
+            assert np.array_equal(E[0], np.ones(u.size))
+        assert np.abs(E - self.oracle(n, u)).max() <= self.bound(n)
+
+    # 37, 99 and 1000: the last block of complex rows is a partial one
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 16, 17, 37, 99, 255, 256, 1000])
+    def test_rows_at_small_and_odd_n(self, n):
+        rng = np.random.default_rng(n)
+        u = np.concatenate([rng.uniform(-2, 2, 500), [-2.0, -1.0, 0.0, 1.0, 2.0]])
+        E = phase_table(n, u)
+        assert E.shape == (n, u.size)
+        assert np.abs(E - self.oracle(n, u)).max() <= self.bound(n)
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 64, 301])
+    def test_writes_into_given_buffers(self, n):
+        u = np.linspace(-2, 2, 50)
+        T, work = table_buffers(n, 80)
+        E = phase_table(n, u, T[:, :50], work[:, :50])
+        assert np.shares_memory(E, T)
+        assert E.tobytes() == phase_table(n, u).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 64, 301, 1024])
+    def test_work_rows_stay_few(self, n):
+        # the complex rows are made a block at a time, never held whole:
+        # at most 2R rows, R*R <= ceil(n/2)
+        T, work = table_buffers(n, 10)
+        h = (n + 1) // 2
+        assert T.shape == (n, 10) and work.dtype == complex
+        assert work.shape[0] <= min(h, 2 * math.isqrt(h))
+        assert np.shares_memory(T.base, work)
 
     def test_calls_exp_once_per_column(self, monkeypatch):
         sizes = []
@@ -152,10 +206,44 @@ class TestPhaseTable:
 
         monkeypatch.setattr(array_model.np, "exp", counting_exp)
         u = np.linspace(-2, 2, 77)
-        E = phase_table(300, u)
+        tables = {n: phase_table(n, u) for n in (300, 301)}
         monkeypatch.undo()
-        assert sizes == [u.size]
-        assert np.abs(E - TestPhasePowers.reference(300, u)).max() <= 1e-12
+        assert sizes == [u.size, u.size]
+        for n, E in tables.items():
+            assert np.abs(E - self.oracle(n, u)).max() <= self.bound(n)
+
+
+class TestLeastGain:
+    """The paired real reduction reproduces the complex field's gains for
+    any rows, not only shift books or symmetric beams."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 64, 65, 256])
+    def test_matches_per_entry_exp(self, n):
+        rng = np.random.default_rng(n)
+        w = rng.standard_normal((7, n)) + 1j * rng.standard_normal((7, n))
+        F, A = 9, 13
+        u = rng.uniform(-2, 2, (F, A))
+        got = least_gain(pair_coefficients(w), phase_table(n, u.ravel()).reshape(n, F, A))
+        field = w @ np.exp(-1j * np.pi * np.multiply.outer(np.arange(n), u.ravel()))
+        expect = (np.abs(field) ** 2).reshape(7, F, A).min(axis=1)
+        assert got.shape == (7, A)
+        # the scale of a row's gains is |w|_1^2, their value where every
+        # term aligns; the two differ by under 1e-15 of it
+        scale = (np.abs(w).sum(axis=1) ** 2)[:, None]
+        assert np.all(np.abs(got - expect) <= 1e-14 * scale)
+
+    def test_coefficients_pair_mirrored_elements(self):
+        # P_m = w_k + w_k' on the cos rows, Q_m = j(w_k - w_k') on the sin
+        # rows, k < k' = n-1-k; odd n's middle element is P_0 alone
+        w = np.array([[1 + 2j, 3 - 1j, 5 + 0.5j, -2 + 4j, 7j]])
+        coef = pair_coefficients(w)[0]
+        C = coef[0] + 1j * coef[1]
+        assert np.array_equal(C, [5 + 0.5j, (3 - 1j) + (-2 + 4j), (1 + 2j) + 7j,
+                                  1j * ((3 - 1j) - (-2 + 4j)), 1j * ((1 + 2j) - 7j)])
+        coef = pair_coefficients(w[:, :4])[0]
+        C = coef[0] + 1j * coef[1]
+        assert np.array_equal(C, [(3 - 1j) + (5 + 0.5j), (1 + 2j) + (-2 + 4j),
+                                  1j * ((3 - 1j) - (5 + 0.5j)), 1j * ((1 + 2j) - (-2 + 4j))])
 
 
 class TestDirichletPower:

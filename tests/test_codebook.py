@@ -22,7 +22,7 @@ from widebeam import (
 from widebeam import array_model, codebook
 from widebeam.alm import SolverConfig, solve
 from widebeam.array_model import (BeamVector, composite_gain, dirichlet_power, gain_floor,
-                                  phase_powers, steering_composite)
+                                  pair_coefficients, phase_powers, steering_composite)
 from widebeam.codebook import (
     GUARD_FLOOR,
     PROBE_TOL,
@@ -582,6 +582,8 @@ class TestGeneralSweepExactness:
            n=st.integers(1, 40), l=st.integers(1, 50), f=st.integers(2, 40),
            b2=st.floats(0.0, 0.2), n_sines=st.integers(1, 60),
            seed=st.integers(0, 2 ** 32 - 1))
+    @example(kind="random", n=17, l=23, f=9, b2=0.1, n_sines=40, seed=3)
+    @example(kind="duplicated", n=33, l=30, f=5, b2=0.05, n_sines=25, seed=4)
     def test_matches_the_all_beams_sweep(self, kind, n, l, f, b2, n_sines, seed):
         rng = np.random.default_rng(seed)
         weights = random_book(kind, n, l, rng)
@@ -601,11 +603,12 @@ class TestGeneralSweepExactness:
         first = [int(np.flatnonzero((weights == weights[w]).all(axis=1))[0]) for w in winner]
         assert np.array_equal(winner, first)
 
-    def test_designed_book_winners(self, cfg16):
-        book = build_codebook(cfg16)
+    @staticmethod
+    def check_designed_book(cfg):
+        book = build_codebook(cfg)
         weights = book.weights
         sines = np.linspace(-1, 1, 400)
-        scale = 1.0 + cfg16.frequency_grid() / cfg16.f_c
+        scale = 1.0 + cfg.frequency_grid() / cfg.f_c
         G = all_beams_band_minima(weights, sines, scale)
         gains, winner = _general_sweep(weights, sines, scale)
         assert gains == pytest.approx(G.max(axis=0), rel=1e-12)
@@ -613,6 +616,13 @@ class TestGeneralSweepExactness:
         clear = top2[1] - top2[0] > 1e-10 * top2[1]
         assert clear.mean() > 0.9
         assert np.array_equal(winner[clear], G.argmax(axis=0)[clear])
+
+    def test_designed_book_winners(self, cfg16):
+        self.check_designed_book(cfg16)
+
+    def test_odd_n_designed_book_winners(self):
+        # odd N pairs its middle element with itself: one cos row at m = 0
+        self.check_designed_book(SystemConfig(f_c=140e9, B=10e9, N=17, L=34))
 
 
 class TestGeneralSweepSweepsEachRowOnce:
@@ -622,14 +632,16 @@ class TestGeneralSweepSweepsEachRowOnce:
 
     def sweep_calls(self, monkeypatch, caplog, weights, sines, scale):
         # the probe bound goes through the same reduction, on a table of
-        # three frequencies: only full-band products are recorded
+        # three frequencies: only full-band products are recorded, each
+        # with its table and its rows of the sweep's coefficient block, one
+        # (2, n) row per beam
         calls = []
         real = codebook.least_gain
 
-        def recording(w, E):
+        def recording(coef, E):
             if E.shape[1] == scale.size:
-                calls.append((E, [row.tobytes() for row in w]))
-            return real(w, E)
+                calls.append((E, [row.tobytes() for row in coef]))
+            return real(coef, E)
 
         monkeypatch.setattr(codebook, "least_gain", recording)
         with caplog.at_level(logging.DEBUG, logger="widebeam.codebook"):
@@ -679,9 +691,42 @@ class TestGeneralSweepSweepsEachRowOnce:
         assert candidates >= len(tables)
         if kind == "negated":
             assert others >= candidates
+        # every recorded row is a row of the book's coefficient block
+        book_rows = {row.tobytes() for row in pair_coefficients(weights)}
+        assert {row for _, rows in tables for row in rows} <= book_rows
         # and the result is still that of every beam
         G = all_beams_band_minima(weights, sines, scale)
         assert gains == pytest.approx(G.max(axis=0), rel=1e-10, abs=1e-12)
+
+    @pytest.mark.parametrize("n,l", [(16, 32), (17, 20), (1, 40)])
+    def test_every_block_writes_into_one_table_buffer(self, n, l, monkeypatch, caplog):
+        rng = np.random.default_rng(n)
+        weights = random_book("random", n, l, rng)
+        sines = np.sort(np.concatenate([rng.uniform(-1, 1, 900), [-1.0, 1.0]]))
+        scale = np.linspace(0.95, 1.05, 257)
+        _, calls, _ = self.sweep_calls(monkeypatch, caplog, weights, sines, scale)
+        tables = list({id(E): E for E, _ in calls}.values())
+        # several blocks, the last one shorter, all in the first one's memory
+        assert len(tables) > 2
+        assert tables[-1].shape[2] < tables[0].shape[2]
+        assert all(np.shares_memory(tables[0], E) for E in tables[1:])
+
+    def test_builds_one_coefficient_block_per_sweep(self, monkeypatch, caplog):
+        built = []
+        real = codebook.pair_coefficients
+
+        def counting(w):
+            built.append(w.shape)
+            return real(w)
+
+        monkeypatch.setattr(codebook, "pair_coefficients", counting)
+        rng = np.random.default_rng(5)
+        weights = random_book("random", 16, 32, rng)
+        sines = np.sort(np.concatenate([rng.uniform(-1, 1, 900), [-1.0, 1.0]]))
+        scale = np.linspace(0.95, 1.05, 257)
+        _, calls, _ = self.sweep_calls(monkeypatch, caplog, weights, sines, scale)
+        assert len({id(E) for E, _ in calls}) > 2
+        assert built == [weights.shape]
 
 
 class TestTablePathsStayApart:
@@ -696,9 +741,9 @@ class TestTablePathsStayApart:
         calls = []
         real = getattr(array_model, name)
 
-        def counting(n, u):
+        def counting(n, u, *args, **kwargs):
             calls.append(n)
-            return real(n, u)
+            return real(n, u, *args, **kwargs)
 
         for module_name, module in list(sys.modules.items()):
             if module_name.split(".")[0] == "widebeam" and getattr(module, name, None) is real:
