@@ -13,9 +13,9 @@ composite points.  It pairs element k with n-1-k, so that any beam's field
 is, up to a unit phase, its real coefficient rows times one real table of
 cos and sin rows, and takes every gain from one real GEMM at half the
 multiply-adds of a complex one.  The general sweep calls them directly,
-writing every block's table into one pair of table_buffers, and
-gain_floor is their window call, behind the initializer's coverage check
-and the per-zone minima.
+writing every block's table into one real table kept for the sweep, and
+gain_floor is their window call over WINDOW_GRID samples, behind the
+initializer's coverage check and the per-zone minima.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import numpy as np
 
 # constant-modulus tolerance on |w_i| - 1/sqrt(N)
 MODULUS_TOL = 1e-12
+WINDOW_GRID = 1025      # uniform samples of every window a least gain is taken over
 
 
 @dataclass(frozen=True)
@@ -76,7 +77,7 @@ def check_modulus(w: np.ndarray) -> None:
     dev = np.abs(np.abs(w) - 1.0 / np.sqrt(w.shape[-1])).max()
     if not dev <= MODULUS_TOL:      # a NaN weight fails this test too
         raise ValueError(
-            f"constant-modulus violation: max deviation {dev:.3e} from 1/sqrt(N)"
+            f"constant-modulus violation (max deviation {dev:.3e})"
         )
 
 
@@ -149,19 +150,7 @@ def _base_rows(h: int) -> int:
     return r
 
 
-def table_buffers(n: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
-    """A real (n, cols) table and the complex work rows phase_table builds
-    it in, as views of one new buffer, so that a gain_floor call makes one
-    allocation.  A sweep allocates them once and passes column slices to
-    every block."""
-    r = _base_rows((n + 1) // 2)
-    rows = min(2 * r, (n + 1) // 2)
-    buf = np.empty((n + 2 * rows, cols))
-    return buf[:n], buf[n:].reshape(rows, 2 * cols).view(complex)
-
-
-def phase_table(n: int, u: np.ndarray, out: np.ndarray | None = None,
-                work: np.ndarray | None = None) -> np.ndarray:
+def phase_table(n: int, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The evaluation kernel's real (n, u.size) table T: the rows
     cos(pi*m*u) for m = 1/2, 3/2, ... up to (n-1)/2 (even n) or m = 0, 1,
     ... up to (n-1)/2 (odd n), then the rows sin(pi*m*u) for the same m,
@@ -179,14 +168,15 @@ def phase_table(n: int, u: np.ndarray, out: np.ndarray | None = None,
     work buffer of 2R rows that stays in cache, so H is never held whole.
     Row i's phase error grows like m_i*eps: about 3e-13 at n = 1024 and
     |u| <= 2, against 5e-13 for a table over k = 0..n-1, whose largest
-    offset is twice as large.  `out` and `work`, given together, are
-    table_buffers' two views (or column slices of them) to write into;
-    without them both are allocated here.
+    offset is twice as large.  The table is written into `out`, an
+    (n, u.size) float array (a column slice of one will do), or into a new
+    one; the work rows are allocated here on every call.
     """
     h = (n + 1) // 2
     if out is None:
-        out, work = table_buffers(n, u.size)
+        out = np.empty((n, u.size))
     r = _base_rows(h)
+    work = np.empty((min(2 * r, h), u.size), dtype=complex)
     B = work[:r]
     if n % 2:
         B[0] = 1.0
@@ -249,13 +239,13 @@ def least_gain(coef: np.ndarray, T: np.ndarray) -> np.ndarray:
     return np.add(X[:, 0], X[:, 1], out=X[:, 0]).min(axis=1)
 
 
-def gain_floor(w: np.ndarray, lo: float, hi: float, samples: int) -> float:
-    """Least gain |h(u)^H w|^2 over `samples` uniform points spanning [lo, hi]:
-    one window of the evaluation kernel (phase_table, pair_coefficients,
-    least_gain), whose rounding differs from composite_gain's per-entry exp
-    only in the last bits.  The initializer's coverage check and the
-    per-zone minima read it."""
-    u = np.linspace(lo, hi, samples)
+def gain_floor(w: np.ndarray, lo: float, hi: float) -> float:
+    """Least gain |h(u)^H w|^2 over WINDOW_GRID uniform points spanning
+    [lo, hi]: one window of the evaluation kernel (phase_table,
+    pair_coefficients, least_gain), whose rounding differs from
+    composite_gain's per-entry exp only in the last bits.  The initializer's
+    coverage check and the per-zone minima read it."""
+    u = np.linspace(lo, hi, WINDOW_GRID)
     T = phase_table(w.size, u)[:, :, None]
     return float(least_gain(pair_coefficients(w[None]), T)[0, 0])
 

@@ -40,7 +40,8 @@ CONFIG_DEFAULTS = {
     **asdict(SolverConfig()),
 }
 
-_INT_KEYS = {"n", "l", "m", "n_freq", "n_angle", "n_ite"}
+# a key whose default is not a float takes an integer (or null, for m)
+_INT_KEYS = {key for key, v in CONFIG_DEFAULTS.items() if not isinstance(v, float)}
 
 
 class ConfigError(Exception):
@@ -116,6 +117,8 @@ def cmd_design(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
     book, cfg = storage.read_codebook(args.codebook)
     if args.config is not None:
         file_cfg, _ = load_config(args.config)

@@ -14,8 +14,10 @@ This module builds no steering table and takes no least gain of its own:
 the general sweep and the per-zone minima read array_model's evaluation
 kernel (phase_table, pair_coefficients, least_gain, and gain_floor, its
 window call), and phase_powers serves only the design path, here
-shift_rows.  A shift book's per-zone minima read row 0 alone, over each
-zone's window moved back to zone 0, one gain_floor per distinct window.
+shift_rows.  Every zone's image is sampled at array_model's WINDOW_GRID
+points, as the initializer's coverage window is.  A shift book's per-zone
+minima read row 0 alone, over each zone's window moved back to zone 0,
+one gain_floor per distinct window; any other book takes one per row.
 Both sweep paths prune by one rule: a beam's gain at any one frequency
 bounds its band minimum from above, so a beam whose bound falls below a
 band minimum that another beam attains can neither win nor tie, and is
@@ -34,10 +36,10 @@ GUARD_FLOOR a gain is a minimum some beam attains, at most the exact one.
 Any other codebook goes through the general sweep, which bounds every beam
 by its minimum over three probe frequencies and is exact.  It builds the
 book's real coefficient block once, and each of its angle blocks writes
-one real phase_table, with one exp per column, into one buffer kept for
-the whole sweep.  Each block sweeps each kept row over the full band
-once: the candidates' band minima, which set the keep level, are kept,
-and only the other kept rows are swept after.
+one real phase_table, with one exp per column, into one real table
+allocated once for the whole sweep.  Each block sweeps each kept row over
+the full band once: the candidates' band minima, which set the keep
+level, are kept, and only the other kept rows are swept after.
 """
 
 from __future__ import annotations
@@ -48,14 +50,13 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import alm
-from .array_model import (MODULUS_TOL, BeamVector, SystemConfig, check_modulus,
-                          dirichlet_power, gain_floor, least_gain, pair_coefficients,
-                          phase_powers, phase_table, steering_composite, table_buffers)
+from .array_model import (MODULUS_TOL, WINDOW_GRID, BeamVector, SystemConfig,
+                          check_modulus, dirichlet_power, gain_floor, least_gain,
+                          pair_coefficients, phase_powers, phase_table, steering_composite)
 from .prv import prv_beam, prv_plan
 from .zones import (ZonePartition, divide_zones, sine_boundaries, sine_centers,
                     zone_intervals)
 
-ZONE_GRID = 1025        # per-zone virtual grid for local worst cases
 GUARD_FLOOR = 5e-4      # matched-sweep gains below this may miss a better beam
 SWEEP_CELLS = 1e6       # phase-matrix cells per angle block of the general sweep
 PROBE_TOL = 1e-9        # relative slack that keeps near-ties in the pruned sweeps
@@ -469,10 +470,10 @@ def _general_sweep(weights: np.ndarray, sines: np.ndarray,
 
     The book's pair_coefficients block is built once, and the angle axis
     is cut into blocks of about SWEEP_CELLS / (F*max(L, N)) angles.  Each
-    block writes its phase_table into the same table_buffers, the real
-    table and its complex work rows, allocated once per sweep (the last
-    block writes a column slice of them): a table of a few MB allocated per
-    block would be faulted in page by page every time.  Every gain below is
+    block writes its phase_table into the same real table, allocated once
+    per sweep (the last block writes a column slice of it): a table of a
+    few MB allocated per block would be faulted in page by page every time.
+    phase_table's few complex work rows are its own.  Every gain below is
     a least_gain of rows of the coefficient block over that table, one real
     GEMM per call.  In each block, beam l's gain at any single
     frequency bounds its band minimum from above, so the minimum over three
@@ -512,13 +513,13 @@ def _general_sweep(weights: np.ndarray, sines: np.ndarray,
     swept = candidates = others = 0
     block = max(1, int(SWEEP_CELLS / (F * max(L, n))))
     width = F * min(block, sines.size)
-    table, work = table_buffers(n, width)
+    table = np.empty((n, width))
     for a0 in range(0, sines.size, block):
         s = sines[a0:a0 + block]
         cols = np.arange(s.size)
         c = F * s.size
-        E = phase_table(n, np.multiply.outer(scale, s).ravel(), table[:, :c],
-                        work[:, :c]).reshape(n, F, s.size)
+        E = phase_table(n, np.multiply.outer(scale, s).ravel(),
+                        table[:, :c]).reshape(n, F, s.size)
         U = least_gain(coef, E[:, probes])
         cand = U.argmax(axis=0)
         picked = np.unique(cand)
@@ -550,22 +551,24 @@ def _per_zone_worst(cfg: SystemConfig, cb: Codebook,
     The band sweep of an angular zone covers exactly the zone's virtual
     interval, so a single composite sweep over that interval is the band
     minimum taken over the whole zone.  For matched books that minimum is
-    _windowed_min over the zone's ZONE_GRID samples, a handful of
+    _windowed_min over the zone's WINDOW_GRID samples, a handful of
     Dirichlet lookups per zone.  Otherwise it is gain_floor over the same
-    samples, once per distinct (row, window) pair.  Row l of a shift book
-    translates row 0's pattern by c_l - c_0, so zone l reads row 0 over its
-    window moved back by c_l - c_0, about ten distinct windows for a
-    designed book; any other book reads row l over zone l's own window.
+    samples.  Row l of a shift book translates row 0's pattern by
+    c_l - c_0, so zone l reads row 0 over its window moved back by
+    c_l - c_0, one gain_floor per distinct window, about ten for a designed
+    book; any other book reads row l over zone l's own window, one
+    gain_floor per row.
     """
     lo, hi = zone_intervals(cfg, cb.partition.boundaries, "banded").T
     if centers is not None:
-        return _windowed_min(cfg.N, lo - centers, hi - centers, ZONE_GRID) / cfg.N
-    rows = np.arange(len(cb))
-    if cb.shifted:
-        c = cb.partition.centers()
-        rows, lo, hi = np.zeros_like(rows), lo - (c - c[0]), hi - (c - c[0])
-    keys, slot = np.unique(np.column_stack([rows, lo, hi]), axis=0, return_inverse=True)
-    floors = [gain_floor(cb.weights[int(r)], a, b, ZONE_GRID) for r, a, b in keys]
+        return _windowed_min(cfg.N, lo - centers, hi - centers, WINDOW_GRID) / cfg.N
+    if not cb.shifted:
+        return np.array([gain_floor(w, a, b) for w, a, b in zip(cb.weights, lo, hi)])
+    c = cb.partition.centers()
+    shift = c - c[0]
+    windows, slot = np.unique(np.column_stack([lo - shift, hi - shift]), axis=0,
+                              return_inverse=True)
+    floors = [gain_floor(cb.weights[0], a, b) for a, b in windows]
     return np.array(floors)[slot]
 
 

@@ -5,7 +5,9 @@ single response vector is assembled from Z sub-arrays of N/Z elements, each
 pointing at its own slice of the window.  The per-sub-array phase offsets
 theta_z are chosen so adjacent sub-array responses add in phase where their
 patterns intersect, which fills the trenches a naive (theta = 0) stack
-leaves between the slices.
+leaves between the slices.  The stacked beam is checked where it is built:
+its least gain over WINDOW_GRID points of the window, the evaluation
+kernel's window call (array_model.gain_floor), must exceed COVERAGE_FLOOR.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import numpy as np
 
 from .array_model import BeamVector, gain_floor
 
-COVERAGE_GRID = 512    # points for the construction-time positivity check
 COVERAGE_FLOOR = 1e-9  # least gain it accepts: 1e-9 of a constant-modulus beam's mean gain, 1
 
 
@@ -75,8 +76,9 @@ def prv_beam(plan: PrvPlan) -> BeamVector:
     that algebra, the beam pattern is checked right here: the gain must
     exceed COVERAGE_FLOOR over the whole window the plan was built for, so
     a null computed to rounding (a gain near 1e-30) is a null.  The check
-    reads the gain on COVERAGE_GRID points through the evaluation kernel's
-    window call (array_model.gain_floor), behind the per-zone minima too.
+    reads the gain through the evaluation kernel's window call
+    (array_model.gain_floor), on the WINDOW_GRID points that the per-zone
+    minima read too.
     """
     k = np.arange(plan.N_s)
     blocks = [
@@ -85,7 +87,7 @@ def prv_beam(plan: PrvPlan) -> BeamVector:
     ]
     w = np.conj(np.concatenate(blocks)) / np.sqrt(plan.n)
     half = min(plan.intersections[-1], 1.0)  # window clamped into one period
-    floor = gain_floor(w, -half, half, COVERAGE_GRID)
+    floor = gain_floor(w, -half, half)
     if not floor > COVERAGE_FLOOR:
         raise RuntimeError(
             f"sub-array stack leaves a null inside its window (min gain {floor:.3e})"

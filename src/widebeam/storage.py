@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from .array_model import MODULUS_TOL, SystemConfig
+from .array_model import SystemConfig, check_modulus
 from .codebook import Codebook
 from .zones import MAPPINGS, ZonePartition, zone_intervals
 
@@ -122,9 +122,10 @@ def _weight_row(row, n: int, pointer: str) -> np.ndarray:
         flat.append(_number(pair[0], f"{pointer}/{k}/0"))
         flat.append(_number(pair[1], f"{pointer}/{k}/1"))
     w = np.array(flat).view(complex)
-    dev = np.abs(np.abs(w) - 1.0 / np.sqrt(n)).max()
-    _require(dev <= MODULUS_TOL, pointer,
-             f"constant-modulus violation (max deviation {dev:.3e})")
+    try:
+        check_modulus(w)
+    except ValueError as e:
+        raise CodebookFormatError(pointer, str(e)) from None
     return w
 
 

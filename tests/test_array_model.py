@@ -1,6 +1,7 @@
 """Core types, steering, and the Dirichlet gain kernel."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from widebeam.array_model import (
     phase_powers,
     phase_table,
     steering_composite,
-    table_buffers,
     wideband_beam_gain,
 )
 
@@ -181,20 +181,28 @@ class TestPhaseTable:
     @pytest.mark.parametrize("n", [1, 2, 9, 64, 301])
     def test_writes_into_given_buffers(self, n):
         u = np.linspace(-2, 2, 50)
-        T, work = table_buffers(n, 80)
-        E = phase_table(n, u, T[:, :50], work[:, :50])
+        T = np.empty((n, 80))
+        E = phase_table(n, u, T[:, :50])
         assert np.shares_memory(E, T)
         assert E.tobytes() == phase_table(n, u).tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 64, 301, 1024])
     def test_work_rows_stay_few(self, n):
         # the complex rows are made a block at a time, never held whole:
-        # at most 2R rows, R*R <= ceil(n/2)
-        T, work = table_buffers(n, 10)
+        # 2R work rows, R*R <= ceil(n/2), and a few single rows, where the
+        # whole complex half-table would be ceil(n/2) rows
+        u = np.linspace(-2, 2, 4096)
+        out = np.empty((n, u.size))
         h = (n + 1) // 2
-        assert T.shape == (n, 10) and work.dtype == complex
-        assert work.shape[0] <= min(h, 2 * math.isqrt(h))
-        assert np.shares_memory(T.base, work)
+        tracemalloc.start()
+        try:
+            E = phase_table(n, u, out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert E is out
+        assert peak <= (2 * math.isqrt(h) + 6) * 16 * u.size
+        assert E.tobytes() == phase_table(n, u).tobytes()
 
     def test_calls_exp_once_per_column(self, monkeypatch):
         sizes = []

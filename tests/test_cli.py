@@ -61,6 +61,8 @@ class TestLoadConfig:
             load_config(write_config(n="16"))
         with pytest.raises(ConfigError, match="'n_ite' must be an integer"):
             load_config(write_config(n_ite=True))
+        # read off the defaults: the keys whose default is not a float
+        assert cli._INT_KEYS == {"n", "l", "m", "n_freq", "n_angle", "n_ite"}
 
     @pytest.mark.parametrize("key,value", [("f_c_hz", "140e9"), ("b_hz", True),
                                            ("rho1", None)])
@@ -270,6 +272,14 @@ class TestFailureModes:
         bad.write_text('{"version": 9}', encoding="utf-8")
         assert main(["eval", str(bad)]) == 1
         assert "/version" in capsys.readouterr().err
+
+    def test_negative_seed_is_a_config_error(self, small_config, tmp_path, capsys):
+        book = tmp_path / "cb.json"
+        assert main(["baseline", small_config, "--out", str(book)]) == 0
+        capsys.readouterr()
+        assert main(["eval", str(book), "--mode", "mc", "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == (
+            "error: --seed must be a non-negative integer, got -1\n")
 
     def test_huge_integer_weight_is_a_config_error(self, small_config, tmp_path, capsys):
         book = tmp_path / "cb.json"

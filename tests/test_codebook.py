@@ -21,12 +21,12 @@ from widebeam import (
 )
 from widebeam import array_model, codebook
 from widebeam.alm import SolverConfig, solve
-from widebeam.array_model import (BeamVector, composite_gain, dirichlet_power, gain_floor,
-                                  pair_coefficients, phase_powers, steering_composite)
+from widebeam.array_model import (WINDOW_GRID, BeamVector, composite_gain, dirichlet_power,
+                                  gain_floor, pair_coefficients, phase_powers,
+                                  steering_composite)
 from widebeam.codebook import (
     GUARD_FLOOR,
     PROBE_TOL,
-    ZONE_GRID,
     Codebook,
     _envelope_reach,
     _general_sweep,
@@ -787,7 +787,7 @@ class TestPerZoneWorst:
         out = []
         for l, w in enumerate(book.weights):
             lo, hi = virtual_interval(cfg, *book.partition.boundaries[l:l + 2])
-            grid = np.linspace(lo, hi, ZONE_GRID)
+            grid = np.linspace(lo, hi, WINDOW_GRID)
             if centers is None:
                 out.append(composite_gain(w, grid).min())
             else:

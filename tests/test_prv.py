@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from widebeam import SystemConfig, divide_zones
-from widebeam.array_model import composite_gain, gain_floor
-from widebeam.prv import COVERAGE_GRID, prv_beam, prv_plan
+from widebeam.array_model import WINDOW_GRID, composite_gain, gain_floor
+from widebeam.prv import prv_beam, prv_plan
 
 
 def block_responses(plan, w, t):
@@ -114,8 +114,8 @@ class TestBeam:
             half = min(plan.intersections[-1], 1.0)
             lo, hi = np.sort(rng.uniform(-half, half, 2))
             for a, b in [(-half, half), (lo, hi), (half / 3, half), (-half, 0.0)]:
-                expect = composite_gain(w, np.linspace(a, b, COVERAGE_GRID)).min()
-                assert gain_floor(w, a, b, COVERAGE_GRID) == pytest.approx(
+                expect = composite_gain(w, np.linspace(a, b, WINDOW_GRID)).min()
+                assert gain_floor(w, a, b) == pytest.approx(
                     expect, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 16, 64, 256])
