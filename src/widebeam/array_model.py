@@ -9,13 +9,16 @@ Two table builders, one per path.  phase_powers builds the design path's
 steering tables (the solver's grid, a shift book's rows), whose bits the
 designed files pin.  phase_table, pair_coefficients and least_gain are the
 one evaluation kernel: the least gain of each beam over each set of
-composite points.  It pairs element k with n-1-k, so that any beam's field
-is, up to a unit phase, its real coefficient rows times one real table of
-cos and sin rows, and takes every gain from one real GEMM at half the
-multiply-adds of a complex one.  The general sweep calls them directly,
-writing every block's table into one real table kept for the sweep, and
-gain_floor is their window call over WINDOW_GRID samples, behind the
-initializer's coverage check and the per-zone minima.
+composite points.  It reads a beam of n elements as its even twin of
+2h = 2*ceil(n/2), an odd beam padded with one element of weight 0, and
+pairs element k with 2h-1-k, so that any beam's field is, up to a unit
+phase, its real coefficient rows times one real table of cos and sin rows
+at the half-integer offsets, one layout at every n.  Every gain comes
+from one real GEMM at half the multiply-adds of a complex one.  The
+general sweep calls them directly, writing every block's table into one
+real table kept for the sweep, and gain_floor is their window call over
+WINDOW_GRID samples, behind the initializer's coverage check and the
+per-zone minima.
 """
 
 from __future__ import annotations
@@ -151,49 +154,45 @@ def _base_rows(h: int) -> int:
 
 
 def phase_table(n: int, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The evaluation kernel's real (n, u.size) table T: the rows
-    cos(pi*m*u) for m = 1/2, 3/2, ... up to (n-1)/2 (even n) or m = 0, 1,
-    ... up to (n-1)/2 (odd n), then the rows sin(pi*m*u) for the same m,
-    m = 0 left out.  These are the centred offsets m = k' - (n-1)/2 of the
-    elements k' paired with k = n-1-k', so pair_coefficients(w) @ T gives
-    every row's field up to a unit phase.
+    """The evaluation kernel's real (2h, u.size) table T, h = ceil(n/2): the
+    rows cos(pi*m*u) for m = 1/2, 3/2, ..., h - 1/2, then the rows
+    sin(pi*m*u) for the same m.  These are the centred offsets
+    m = k' - (2h-1)/2 of the elements k' paired with k = 2h-1-k' in a beam
+    of 2h elements; an odd beam is read as that even twin, its last element
+    of weight 0, so pair_coefficients(w) @ T gives every row's field up to
+    a unit phase at every n.
 
-    The ceil(n/2) complex rows H[i] = exp(-j*pi*m_i*u) come from one exp
-    per column.  H[0] is 1 (odd n) or exp(-j*pi*u/2) (even n), and
-    z = exp(-j*pi*u) or H[0]*H[0].  The first R rows, R = _base_rows, are
-    the base block, built by doubling, H[k:2k] = H[:k] * z^k with z^k from
-    squaring z in place; every later R rows are the base block times
-    z^(aR), a = 1, 2, ..., each factor the last one times z^R.  Each block
-    of H is split into T's cos and sin rows as soon as it is made, in a
-    work buffer of 2R rows that stays in cache, so H is never held whole.
-    Row i's phase error grows like m_i*eps: about 3e-13 at n = 1024 and
-    |u| <= 2, against 5e-13 for a table over k = 0..n-1, whose largest
-    offset is twice as large.  The table is written into `out`, an
-    (n, u.size) float array (a column slice of one will do), or into a new
-    one; the work rows are allocated here on every call.
+    The h complex rows H[i] = exp(-j*pi*m_i*u) come from one exp per
+    column: H[0] = exp(-j*pi*u/2), and z = H[0]*H[0].  The first R rows,
+    R = _base_rows, are the base block, built by doubling,
+    H[k:2k] = H[:k] * z^k with z^k from squaring z in place; every later R
+    rows are the base block times z^(aR), a = 1, 2, ..., each factor the
+    last one times z^R.  Each block of H is split into T's cos and sin rows
+    as soon as it is made, in a work buffer of 2R rows that stays in cache,
+    so H is never held whole.  Row i's phase error grows like m_i*eps:
+    about 3e-13 at n = 1024 and |u| <= 2, against 5e-13 for a table over
+    k = 0..n-1, whose largest offset is twice as large.  The table is
+    written into `out`, a (2h, u.size) float array (a column slice of one
+    will do), or into a new one; the work rows are allocated here on every
+    call.
     """
     h = (n + 1) // 2
     if out is None:
-        out = np.empty((n, u.size))
+        out = np.empty((2 * h, u.size))
     r = _base_rows(h)
     work = np.empty((min(2 * r, h), u.size), dtype=complex)
     B = work[:r]
-    if n % 2:
-        B[0] = 1.0
-        z = np.exp(-1j * np.pi * u)
-    else:
-        np.exp(-0.5j * np.pi * u, out=B[0])
-        z = B[0] * B[0]
+    np.exp(-0.5j * np.pi * u, out=B[0])
+    z = B[0] * B[0]
     k = 1
     while k < r:
         np.multiply(B[:k], z, out=B[k:2 * k])
         np.multiply(z, z, out=z)
         k *= 2
-    # z is now z^r.  sin[i] is H[i]'s sine row, for i >= 1 and, at even n,
-    # i = 0 too: odd n's m = 0 has no sine row
-    sin = out[h - n % 2:]
+    # z is now z^r; sin[i] is H[i]'s sine row
+    sin = out[h:]
     out[:r] = B.real
-    np.negative(B[n % 2:].imag, out=sin[n % 2:r])
+    np.negative(B.imag, out=sin[:r])
     factor = z.copy()
     for i in range(r, h, r):
         m = min(r, h - i)
@@ -205,21 +204,23 @@ def phase_table(n: int, u: np.ndarray, out: np.ndarray | None = None) -> np.ndar
 
 
 def pair_coefficients(weights: np.ndarray) -> np.ndarray:
-    """The real (rows, 2, n) coefficient block of an (rows, n) block of
-    weights against phase_table's rows: Re and Im of P_m = w_k + w_k' over
-    the cos rows, then of Q_m = j*(w_k - w_k') over the sin rows, for each
-    pair k < k' = n-1-k with offset m = k' - (n-1)/2; odd n's middle
-    element is P_0 alone.  Any book, not only a symmetric one: row l's
-    field at u is (coef[l, 0] @ T) + j*(coef[l, 1] @ T) times a unit phase.
+    """The real (rows, 2, 2h) coefficient block, h = ceil(n/2), of an
+    (rows, n) block of weights against phase_table's rows: Re and Im of
+    P_m = w_k + w_k' over the cos rows, then of Q_m = j*(w_k - w_k') over
+    the sin rows, for each pair k < k' = 2h-1-k with offset
+    m = k' - (2h-1)/2.  An odd n is first padded with one trailing element
+    of weight 0, which adds nothing to any field; an even n is not copied.
+    Any book, not only a symmetric one: row l's field at u is
+    (coef[l, 0] @ T) + j*(coef[l, 1] @ T) times a unit phase.
     """
     rows, n = weights.shape
     h = (n + 1) // 2
-    upper, lower = weights[:, n // 2:], weights[:, h - 1::-1]
-    P = upper + lower
     if n % 2:
-        P[:, 0] = upper[:, 0]
-    d = (lower - upper)[:, n % 2:]
-    coef = np.empty((rows, 2, n))
+        weights = np.pad(weights, ((0, 0), (0, 1)))
+    upper, lower = weights[:, h:], weights[:, h - 1::-1]
+    P = upper + lower
+    d = lower - upper
+    coef = np.empty((rows, 2, 2 * h))
     coef[:, 0, :h], coef[:, 1, :h] = P.real, P.imag
     coef[:, 0, h:], coef[:, 1, h:] = -d.imag, d.real
     return coef
@@ -227,12 +228,12 @@ def pair_coefficients(weights: np.ndarray) -> np.ndarray:
 
 def least_gain(coef: np.ndarray, T: np.ndarray) -> np.ndarray:
     """Least gain of each row of a pair_coefficients block over each of the
-    A sets of F points of an (n, F, A) phase_table, F frequencies at A
+    A sets of F points of a (2h, F, A) phase_table, F frequencies at A
     angles or one window's samples: one real product X = coef @ T, the
     gains X_re^2 + X_im^2, and their minimum over the F points.
     Shape (rows, A)."""
-    n, F, A = T.shape
-    X = coef.reshape(-1, n) @ T.reshape(n, F * A)
+    K, F, A = T.shape
+    X = coef.reshape(-1, K) @ T.reshape(K, F * A)
     np.square(X, out=X)
     X = X.reshape(coef.shape[0], 2, F, A)
     # the gains overwrite X_re^2, so the product is the one large array

@@ -3,7 +3,8 @@
 All file artifacts (codebook JSON, CSV tables) are deterministic functions
 of the config and seed; stdout carries human-oriented summaries including
 wall time.  main() maps every command's failures to exit codes: 0 success,
-1 invalid config or file content, 2 I/O failure, 3 solver failure.
+1 invalid config or file content, 2 I/O failure, 3 solver failure.  It
+prints each distinct library warning as one `warning:` line on stderr.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import json
 import sys
 import time
+import warnings
 from dataclasses import MISSING, asdict, fields, replace
 
 import numpy as np
@@ -139,12 +141,6 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"range {args.n_range!r}: N must be an integer")
     n_values = [int(v) for v in n_values]
     b_values = _parse_range(args.b_range, scale=1e9)  # CLI takes GHz
-    try:  # check every cell before the sweep does any work
-        for n in n_values:
-            for b in b_values:
-                replace(cfg, N=n, B=b)
-    except ValueError as e:
-        raise ConfigError(f"sweep cell N={n}, B={b / 1e9:g} GHz: {e}") from e
     rows = sweep(cfg, args.what, n_values, b_values, solver_cfg)
     if args.csv is not None:
         storage.write_sweep_csv(args.csv, rows)
@@ -250,8 +246,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args)
-    except (ConfigError, storage.CodebookFormatError, PartitionLimitError) as e:
+        # a warning is one line, not Python's report with a source path
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                return args.run(args)
+            finally:
+                for message in dict.fromkeys(str(w.message) for w in caught):
+                    print(f"warning: {message}", file=sys.stderr)
+    except (ConfigError, storage.CodebookFormatError, PartitionLimitError,
+            narrowband.SweepCellError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as e:

@@ -471,8 +471,9 @@ def _general_sweep(weights: np.ndarray, sines: np.ndarray,
     The book's pair_coefficients block is built once, and the angle axis
     is cut into blocks of about SWEEP_CELLS / (F*max(L, N)) angles.  Each
     block writes its phase_table into the same real table, allocated once
-    per sweep (the last block writes a column slice of it): a table of a
-    few MB allocated per block would be faulted in page by page every time.
+    per sweep with the coefficient block's 2*ceil(N/2) rows (the last
+    block writes a column slice of it): a table of a few MB allocated per
+    block would be faulted in page by page every time.
     phase_table's few complex work rows are its own.  Every gain below is
     a least_gain of rows of the coefficient block over that table, one real
     GEMM per call.  In each block, beam l's gain at any single
@@ -513,13 +514,13 @@ def _general_sweep(weights: np.ndarray, sines: np.ndarray,
     swept = candidates = others = 0
     block = max(1, int(SWEEP_CELLS / (F * max(L, n))))
     width = F * min(block, sines.size)
-    table = np.empty((n, width))
+    table = np.empty((coef.shape[2], width))
     for a0 in range(0, sines.size, block):
         s = sines[a0:a0 + block]
         cols = np.arange(s.size)
         c = F * s.size
         E = phase_table(n, np.multiply.outer(scale, s).ravel(),
-                        table[:, :c]).reshape(n, F, s.size)
+                        table[:, :c]).reshape(-1, F, s.size)
         U = least_gain(coef, E[:, probes])
         cand = U.argmax(axis=0)
         picked = np.unique(cand)

@@ -104,6 +104,10 @@ def prop2_optimal_N(f_c: float, b: float, l: int) -> tuple[tuple[int, int], int]
     return (lo, hi), best
 
 
+class SweepCellError(ValueError):
+    """A sweep cell that SystemConfig rejects, named by its N and B."""
+
+
 def sweep(cfg: SystemConfig, what: str, n_values, b_values,
           solver_cfg: SolverConfig | None = None) -> list[tuple]:
     """(N, B) table of worst cases and the width bound, L fixed by cfg.
@@ -111,19 +115,26 @@ def sweep(cfg: SystemConfig, what: str, n_values, b_values,
     what selects the worst-case column: "narrowband" uses the closed form,
     "wideband" runs the full design pipeline per cell, "bound" leaves the
     column empty.  The bound is 2/delta_omega of the cell's partition.
+    Every cell is built before any is worked on, so a cell SystemConfig
+    rejects raises SweepCellError, naming the cell, before any work.
     """
     if what not in ("narrowband", "wideband", "bound"):
         raise ValueError(f"unknown sweep kind {what!r}")
-    rows = []
+    cells = []
     for n in n_values:
         for b in b_values:
-            cell = replace(cfg, N=int(n), B=float(b))
-            bound = prop3_upper_bound(divide_zones(cell))
-            if what == "narrowband":
-                worst = prop1_worst_case(cell).worst_case_gain
-            elif what == "wideband":
-                worst = evaluate(cell, build_codebook(cell, solver_cfg)).worst_case
-            else:
-                worst = None
-            rows.append((int(n), float(b) / 1e9, worst, bound))
+            try:
+                cells.append(replace(cfg, N=int(n), B=float(b)))
+            except ValueError as e:
+                raise SweepCellError(f"sweep cell N={n}, B={b / 1e9:g} GHz: {e}") from e
+    rows = []
+    for cell in cells:
+        bound = prop3_upper_bound(divide_zones(cell))
+        if what == "narrowband":
+            worst = prop1_worst_case(cell).worst_case_gain
+        elif what == "wideband":
+            worst = evaluate(cell, build_codebook(cell, solver_cfg)).worst_case
+        else:
+            worst = None
+        rows.append((cell.N, cell.B / 1e9, worst, bound))
     return rows

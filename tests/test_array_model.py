@@ -133,7 +133,8 @@ class TestPhasePowers:
 
 class TestPhaseTable:
     """The evaluation kernel's real table: cos(pi*m*u) rows, then sin rows,
-    over the centred offsets m of mirrored element pairs, built from
+    over the centred offsets m = 1/2, 3/2, ... of mirrored element pairs of
+    the even twin (an odd beam with one zero element appended), built from
     ceil(n/2) complex rows with one exp per column: a base block by
     doubling, then the block times powers of z^R."""
 
@@ -141,9 +142,13 @@ class TestPhaseTable:
     def oracle(n, u):
         # cos and sin in extended precision, of the phase pi*m*u with the
         # double pi every table is built from; m*u is exact in a long double
-        m = np.arange((n + 1) // 2, dtype=np.longdouble) + (0.5 if n % 2 == 0 else 0.0)
+        m = np.arange((n + 1) // 2, dtype=np.longdouble) + 0.5
         phase = np.multiply.outer(m, np.asarray(u, dtype=np.longdouble)) * np.longdouble(np.pi)
-        return np.concatenate([np.cos(phase), np.sin(phase)[n % 2:]])
+        return np.concatenate([np.cos(phase), np.sin(phase)])
+
+    @staticmethod
+    def rows(n):
+        return 2 * ((n + 1) // 2)
 
     @staticmethod
     def bound(n):
@@ -163,10 +168,7 @@ class TestPhaseTable:
     def test_matches_exp(self, n, u):
         u = np.array(u + [-2.0, 2.0, -1.0, 1.0, 0.0])
         E = phase_table(n, u)
-        assert E.shape == (n, u.size)
-        if n % 2:
-            # m = 0: a cos row of exact ones, and no sin row
-            assert np.array_equal(E[0], np.ones(u.size))
+        assert E.shape == (self.rows(n), u.size)
         assert np.abs(E - self.oracle(n, u)).max() <= self.bound(n)
 
     # 37, 99 and 1000: the last block of complex rows is a partial one
@@ -175,13 +177,13 @@ class TestPhaseTable:
         rng = np.random.default_rng(n)
         u = np.concatenate([rng.uniform(-2, 2, 500), [-2.0, -1.0, 0.0, 1.0, 2.0]])
         E = phase_table(n, u)
-        assert E.shape == (n, u.size)
+        assert E.shape == (self.rows(n), u.size)
         assert np.abs(E - self.oracle(n, u)).max() <= self.bound(n)
 
     @pytest.mark.parametrize("n", [1, 2, 9, 64, 301])
     def test_writes_into_given_buffers(self, n):
         u = np.linspace(-2, 2, 50)
-        T = np.empty((n, 80))
+        T = np.empty((self.rows(n), 80))
         E = phase_table(n, u, T[:, :50])
         assert np.shares_memory(E, T)
         assert E.tobytes() == phase_table(n, u).tobytes()
@@ -192,7 +194,7 @@ class TestPhaseTable:
         # 2R work rows, R*R <= ceil(n/2), and a few single rows, where the
         # whole complex half-table would be ceil(n/2) rows
         u = np.linspace(-2, 2, 4096)
-        out = np.empty((n, u.size))
+        out = np.empty((self.rows(n), u.size))
         h = (n + 1) // 2
         tracemalloc.start()
         try:
@@ -229,25 +231,45 @@ class TestLeastGain:
     def test_matches_per_entry_exp(self, n):
         rng = np.random.default_rng(n)
         w = rng.standard_normal((7, n)) + 1j * rng.standard_normal((7, n))
-        F, A = 9, 13
-        u = rng.uniform(-2, 2, (F, A))
-        got = least_gain(pair_coefficients(w), phase_table(n, u.ravel()).reshape(n, F, A))
+        self.check(w, rng.uniform(-2, 2, (9, 13)))
+
+    @staticmethod
+    def check(w, u):
+        # least gains over the F rows of an (F, A) u against the per-entry
+        # exp oracle
+        n = w.shape[1]
+        (F, A), T = u.shape, phase_table(n, u.ravel())
+        got = least_gain(pair_coefficients(w), T.reshape(T.shape[0], F, A))
         field = w @ np.exp(-1j * np.pi * np.multiply.outer(np.arange(n), u.ravel()))
-        expect = (np.abs(field) ** 2).reshape(7, F, A).min(axis=1)
-        assert got.shape == (7, A)
+        expect = (np.abs(field) ** 2).reshape(len(w), F, A).min(axis=1)
+        assert got.shape == (len(w), A)
         # the scale of a row's gains is |w|_1^2, their value where every
         # term aligns; the two differ by under 1e-15 of it
         scale = (np.abs(w).sum(axis=1) ** 2)[:, None]
         assert np.all(np.abs(got - expect) <= 1e-14 * scale)
 
+    @settings(deadline=None, max_examples=40)
+    @given(h=st.integers(1, 513), seed=st.integers(0, 2 ** 32 - 1))
+    @example(h=513, seed=0)
+    @example(h=1, seed=0)
+    def test_odd_n_matches_per_entry_exp(self, h, seed):
+        # an odd beam is read as its even twin, one zero element appended
+        rng = np.random.default_rng(seed)
+        n = 2 * h - 1
+        w = np.exp(2j * np.pi * rng.uniform(size=(3, n))) / np.sqrt(n)
+        self.check(w, rng.uniform(-2, 2, (5, 7)))
+
     def test_coefficients_pair_mirrored_elements(self):
         # P_m = w_k + w_k' on the cos rows, Q_m = j(w_k - w_k') on the sin
-        # rows, k < k' = n-1-k; odd n's middle element is P_0 alone
+        # rows, k < k' = 2h-1-k; an odd n is its even twin, one zero
+        # element appended
         w = np.array([[1 + 2j, 3 - 1j, 5 + 0.5j, -2 + 4j, 7j]])
         coef = pair_coefficients(w)[0]
+        assert np.array_equal(coef, pair_coefficients(np.append(w, [[0]], axis=1))[0])
         C = coef[0] + 1j * coef[1]
-        assert np.array_equal(C, [5 + 0.5j, (3 - 1j) + (-2 + 4j), (1 + 2j) + 7j,
-                                  1j * ((3 - 1j) - (-2 + 4j)), 1j * ((1 + 2j) - 7j)])
+        assert np.array_equal(C, [(5 + 0.5j) + (-2 + 4j), (3 - 1j) + 7j, 1 + 2j,
+                                  1j * ((5 + 0.5j) - (-2 + 4j)), 1j * ((3 - 1j) - 7j),
+                                  1j * (1 + 2j)])
         coef = pair_coefficients(w[:, :4])[0]
         C = coef[0] + 1j * coef[1]
         assert np.array_equal(C, [(3 - 1j) + (5 + 0.5j), (1 + 2j) + (-2 + 4j),

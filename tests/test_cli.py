@@ -111,6 +111,12 @@ def small_config(write_config):
     return write_config(n=8, l=16, n_angle=512, n_freq=65)
 
 
+# the closed form's warning at L < N, as the CLI prints it: one line, not
+# Python's report with a source path
+L_BELOW_N = ("warning: L={l} < N={n}: fewer beams than antennas; "
+             "the closed-form narrowband analysis assumes L >= N")
+
+
 class TestDesignFlow:
     def test_design_then_eval_round_trip(self, tmp_path, small_config, capsys):
         out = tmp_path / "cb.json"
@@ -246,6 +252,15 @@ class TestSweepFlow:
         assert captured.err.startswith("error:") and message in captured.err
         assert len(captured.err.splitlines()) == 1
 
+    def test_fewer_beams_than_antennas_is_one_warning_line_per_cell(self, write_config):
+        # the repeated N=16 cell warns once
+        code, out, err = run_main(["sweep", write_config(l=8), "--n-range", "16,32,16",
+                                   "--b-range", "10"])
+        assert code == 0
+        assert len(out.splitlines()) == 3
+        assert err.splitlines() == [L_BELOW_N.format(l=8, n=16),
+                                    L_BELOW_N.format(l=8, n=32)]
+
 
 class TestValidateFlow:
     def test_reference_checks_pass(self, small_config, capsys):
@@ -256,6 +271,13 @@ class TestValidateFlow:
             "shift-translation",
         ]
         assert all(l.endswith(": pass") for l in lines)
+
+    def test_fewer_beams_than_antennas_is_one_warning_line(self, write_config):
+        code, out, err = run_main(["validate", write_config(n=16, l=8, n_angle=512,
+                                                            n_freq=65)])
+        assert code == 0
+        assert len(out.splitlines()) == 4
+        assert err.splitlines() == [L_BELOW_N.format(l=8, n=16)]
 
 
 class TestFailureModes:

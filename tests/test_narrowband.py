@@ -161,3 +161,20 @@ def test_sizing_constants():
     assert hi - lo < 1e-9
     assert round(lo, 3) == X_STAR == 1.166
     assert round(4 * X_STAR / np.pi, 3) == N_STAR_COEFF == 1.485
+
+
+class TestSweep:
+    @pytest.mark.parametrize("what, n_values, b_values, message", [
+        ("wideband", [64, 0], [10e9], "N=0, B=10 GHz: N must be >= 1, got 0"),
+        ("bound", [8], [0.0, 300e9], "N=8, B=300 GHz: B must satisfy"),
+    ])
+    def test_bad_cell_raises_before_any_work(self, monkeypatch, what, n_values, b_values,
+                                             message):
+        # every cell is built first, so no good cell before the bad one is
+        # designed or partitioned
+        work = []
+        monkeypatch.setattr(narrowband, "build_codebook", lambda cell, _: work.append(cell))
+        monkeypatch.setattr(narrowband, "divide_zones", lambda cell: work.append(cell))
+        with pytest.raises(narrowband.SweepCellError, match=f"^sweep cell {message}"):
+            narrowband.sweep(cfg(), what, n_values, b_values)
+        assert work == []
